@@ -56,12 +56,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_theta(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"bad theta list: {text!r}") from exc
-    return values
+        raise ValidationError(f"bad {what}: {text!r}") from exc
 
 
 def _parse_points(text: str, d: int) -> np.ndarray:
@@ -110,7 +109,9 @@ def _kernel_from_args(args) -> Kernel:
         raise ValidationError(
             f"unknown kernel {args.kernel!r}; choose from {sorted(FAMILY_NAMES)}"
         )
-    return Kernel(family, _parse_theta(args.theta))
+    if args.theta is None:
+        raise ValidationError("--theta is required")
+    return Kernel(family, _parse_floats(args.theta, "theta list"))
 
 
 def _emit(args, text: str) -> None:
@@ -194,9 +195,7 @@ def cmd_sweep(args) -> int:
             a, b = rep.design[0][0], rep.design[1][0]
             x1, x2 = max(a, b), min(a, b)
         ok = rep.converged and math.isfinite(rep.imspe_value)
-        if ok and args.n == 2:
-            xs.append(x1)
-        if ok and args.n == 1:
+        if ok:
             xs.append(x1)
         lines.append(
             ",".join(
@@ -267,17 +266,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    center = tuple(float(v) for v in args.center.split(","))
-    if len(center) != 2:
-        raise ValidationError("probe center must have 2 coordinates")
-    directions = []
-    for chunk in args.directions.split(";"):
-        coords = tuple(float(v) for v in chunk.split(","))
-        if len(coords) != 2:
-            raise ValidationError("probe directions must have 2 coordinates")
-        directions.append(coords)
-    h_sequence = [float(v) for v in args.h_sequence.split(",")]
-    report = discontinuity_probe(fig_imspe, center, directions, h_sequence)
+    center = _parse_points(args.center, 2)
+    if len(center) != 1:
+        raise ValidationError("probe center must be a single point")
+    directions = _parse_points(args.directions, 2)
+    h_sequence = _parse_floats(args.h_sequence, "step list")
+    report = discontinuity_probe(fig_imspe, center[0], directions, h_sequence)
     record = {
         "center": list(report.center),
         "directions": [list(d) for d in report.directions],

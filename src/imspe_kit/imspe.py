@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
@@ -66,11 +65,56 @@ class ImspeMatrices:
     cond_estimate: float
 
 
-def _as_design(design, d: int) -> tuple[tuple[float, ...], ...]:
-    pts = [check_point(p, d) for p in np.atleast_2d(np.asarray(design, dtype=float))]
+def _as_design(design, d: int, lo=-1.0, hi=1.0) -> tuple[tuple[float, ...], ...]:
+    pts = [check_point(p, d, lo, hi) for p in np.atleast_2d(np.asarray(design, dtype=float))]
     if not pts:
         raise ValidationError("design must contain at least one point")
     return tuple(pts)
+
+
+def _fill_bordered(m, corner, edge, body):
+    """Fill the symmetric bordered (n+1) x (n+1) matrix ``m`` in place.
+
+    ``m`` is a zeroed numpy array or mpmath matrix; ``corner`` goes to
+    ``m[0, 0]``, ``edge(i)`` to the border entries of point i, and
+    ``body(i, j)`` (called for i <= j only) to both body entries of the pair.
+    """
+    n = len(m) - 1
+    m[0, 0] = corner
+    for i in range(n):
+        m[0, 1 + i] = m[1 + i, 0] = edge(i)
+        for j in range(i, n):
+            m[1 + i, 1 + j] = m[1 + j, 1 + i] = body(i, j)
+    return m
+
+
+def _solve_bordered(kernel: Kernel, pts, border, inner) -> ImspeMatrices:
+    """Criterion of validated points with R entries ``border(i)``, ``inner(i, j)``.
+
+    Refuses (``SolveError``) when L is too ill-conditioned to trust.
+    """
+    n = len(pts)
+    big_l = _fill_bordered(
+        np.zeros((n + 1, n + 1)),
+        0.0,
+        lambda i: 1.0,
+        lambda i, j: 1.0 if i == j else corr_pair(kernel, pts[i], pts[j]),
+    )
+    big_r = _fill_bordered(np.zeros((n + 1, n + 1)), 1.0, border, inner)
+    cond = float(np.linalg.cond(big_l))
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise SolveError(
+            f"bordered matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}",
+            cond_estimate=cond,
+        )
+    try:
+        solved = np.linalg.solve(big_l, big_r)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check fires first
+        raise SolveError(f"linear solve failed: {exc}", cond_estimate=cond) from exc
+    value = 1.0 - float(np.trace(solved))
+    if not math.isfinite(value):
+        raise SolveError("criterion evaluated to a non-finite value", cond_estimate=cond)
+    return ImspeMatrices(L=big_l, R=big_r, imspe=value, cond_estimate=cond)
 
 
 def build_matrices(kernel: Kernel, design, *, strict: bool = True) -> ImspeMatrices:
@@ -88,49 +132,17 @@ def build_matrices(kernel: Kernel, design, *, strict: bool = True) -> ImspeMatri
                     raise NearSingularError(
                         f"design points {i} and {j} coincide at {pts[i]}", pair=(i, j)
                     )
-    big_l = np.zeros((n + 1, n + 1))
-    big_l[0, 1:] = 1.0
-    big_l[1:, 0] = 1.0
-    for i in range(n):
-        big_l[1 + i, 1 + i] = 1.0
-        for j in range(i + 1, n):
-            v = corr_pair(kernel, pts[i], pts[j])
-            big_l[1 + i, 1 + j] = v
-            big_l[1 + j, 1 + i] = v
-    big_r = np.zeros((n + 1, n + 1))
-    big_r[0, 0] = 1.0
-    for i in range(n):
-        bi = integrals.r_border(kernel, pts[i])
-        big_r[0, 1 + i] = bi
-        big_r[1 + i, 0] = bi
-        for j in range(i, n):
-            v = integrals.r_inner(kernel, pts[i], pts[j])
-            big_r[1 + i, 1 + j] = v
-            big_r[1 + j, 1 + i] = v
-    cond = float(np.linalg.cond(big_l))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SolveError(
-            f"bordered matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            cond_estimate=cond,
-        )
-    try:
-        solved = np.linalg.solve(big_l, big_r)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check fires first
-        raise SolveError(f"linear solve failed: {exc}", cond_estimate=cond) from exc
-    value = 1.0 - float(np.trace(solved))
-    if not math.isfinite(value):
-        raise SolveError("criterion evaluated to a non-finite value", cond_estimate=cond)
-    return ImspeMatrices(L=big_l, R=big_r, imspe=value, cond_estimate=cond)
+    return _solve_bordered(
+        kernel,
+        pts,
+        lambda i: integrals.r_border(kernel, pts[i]),
+        lambda i, j: integrals.r_inner(kernel, pts[i], pts[j]),
+    )
 
 
 def imspe(kernel: Kernel, design) -> float:
     """Criterion value for a design (solve path)."""
     return build_matrices(kernel, design).imspe
-
-
-def _fold_cosh(t: float, x: float) -> float:
-    """e^{-t} * cosh(t x) for |x| <= 1, via decaying exponentials only."""
-    return 0.5 * (math.exp(-t * (1.0 - x)) + math.exp(-t * (1.0 + x)))
 
 
 def imspe_closed_n1(kernel: Kernel, theta: float, x1: float) -> float:
@@ -141,20 +153,35 @@ def imspe_closed_n1(kernel: Kernel, theta: float, x1: float) -> float:
     """
     if kernel.d != 1:
         raise ValidationError("closed n=1 form requires d = 1")
-    x1 = float(x1)
-    check_point((x1,), 1)
-    fam = kernel.family
-    if fam is Family.EXP_P1:
-        return 2.0 * (1.0 - (1.0 - _fold_cosh(theta, x1)) / theta)
-    if fam is Family.GAUSS_P2:
-        g = math.sqrt(theta)
-        return 2.0 * (
-            1.0
-            - math.sqrt(math.pi / (16.0 * theta))
-            * (erf(g * (1.0 + x1)) + erf(g * (1.0 - x1)))
-        )
-    # both Matern forms share the border-integral structure
-    return 2.0 * (1.0 - integrals.border_1d(fam, x1, theta))
+    return 2.0 * (1.0 - integrals.border_1d(kernel.family, x1, theta))
+
+
+def _fold_cosh(exp, one, half, t, x):
+    """e^{-t} * cosh(t x) for |x| <= 1, via decaying exponentials only."""
+    return half * (exp(-t * (one - x)) + exp(-t * (one + x)))
+
+
+def _n2_exp_form(theta, x1, x2, exp, one):
+    """Six-term two-point exponential criterion in the arithmetic of ``exp``.
+
+    ``exp`` and ``one`` are ``math.exp`` and 1.0 for double precision, or an
+    mpmath exponential and ``mp.mpf(1)`` for extended precision.  Every
+    constant is built from ``one`` because operations that mix number types
+    are slow in both arithmetics.
+    """
+    two = one + one
+    half = one / two
+    s = abs(x1 - x2)
+    e_s = exp(-theta * s)
+    theta2 = two * theta
+    den = theta2 * (one - e_s)
+    a1 = (one - _fold_cosh(exp, one, half, theta, x1)) / theta
+    a2 = (one - _fold_cosh(exp, one, half, theta, x2)) / theta
+    b1 = (one - _fold_cosh(exp, one, half, theta2, x1)) / (two * den)
+    b2 = (one - _fold_cosh(exp, one, half, theta2, x2)) / (two * den)
+    cross = half * (exp(-theta * (two - (x1 + x2))) + exp(-theta * (two + x1 + x2)))
+    c = (e_s - cross + theta * s * e_s) / den
+    return half * (one + two + e_s) + c - a1 - a2 - b1 - b2
 
 
 def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
@@ -175,18 +202,7 @@ def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
             "boundary here; use the cluster-variable analysis instead",
             pair=(0, 1),
         )
-    s = abs(x1 - x2)
-    e_s = math.exp(-theta * s)
-    one_minus = 1.0 - e_s
-    a1 = (1.0 - _fold_cosh(theta, x1)) / theta
-    a2 = (1.0 - _fold_cosh(theta, x2)) / theta
-    b1 = (1.0 - _fold_cosh(2.0 * theta, x1)) / (4.0 * theta * one_minus)
-    b2 = (1.0 - _fold_cosh(2.0 * theta, x2)) / (4.0 * theta * one_minus)
-    cross = 0.5 * (
-        math.exp(-theta * (2.0 - (x1 + x2))) + math.exp(-theta * (2.0 + x1 + x2))
-    )
-    c = (e_s - cross + theta * s * e_s) / (2.0 * theta * one_minus)
-    return (3.0 + e_s) / 2.0 + c - a1 - a2 - b1 - b2
+    return _n2_exp_form(theta, x1, x2, math.exp, 1.0)
 
 
 def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
@@ -231,38 +247,11 @@ def build_matrices_unit_exp(theta: Sequence[float], design) -> ImspeMatrices:
     Companion to :func:`domain_transform`; the averaged-matrix elements come
     from the unit-domain integrals.
     """
-    theta = tuple(float(t) for t in theta)
-    d = len(theta)
-    kernel = Kernel(Family.EXP_P1, theta)
-    pts = [check_point(p, d, 0.0, 1.0) for p in np.atleast_2d(np.asarray(design, dtype=float))]
-    n = len(pts)
-    big_l = np.zeros((n + 1, n + 1))
-    big_l[0, 1:] = 1.0
-    big_l[1:, 0] = 1.0
-    for i in range(n):
-        big_l[1 + i, 1 + i] = 1.0
-        for j in range(i + 1, n):
-            v = 1.0
-            for t, a, b in zip(theta, pts[i], pts[j]):
-                v *= math.exp(-t * abs(a - b))
-            big_l[1 + i, 1 + j] = v
-            big_l[1 + j, 1 + i] = v
-    big_r = np.zeros((n + 1, n + 1))
-    big_r[0, 0] = 1.0
-    for i in range(n):
-        bi = integrals.j_border(theta, pts[i])
-        big_r[0, 1 + i] = bi
-        big_r[1 + i, 0] = bi
-        for j in range(i, n):
-            v = integrals.j_inner(theta, pts[i], pts[j])
-            big_r[1 + i, 1 + j] = v
-            big_r[1 + j, 1 + i] = v
-    cond = float(np.linalg.cond(big_l))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SolveError(
-            f"bordered matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            cond_estimate=cond,
-        )
-    value = 1.0 - float(np.trace(np.linalg.solve(big_l, big_r)))
-    _ = kernel  # constructed for validation of theta only
-    return ImspeMatrices(L=big_l, R=big_r, imspe=value, cond_estimate=cond)
+    kernel = Kernel(Family.EXP_P1, tuple(theta))
+    pts = _as_design(design, kernel.d, 0.0, 1.0)
+    return _solve_bordered(
+        kernel,
+        pts,
+        lambda i: integrals.j_border(kernel.theta, pts[i]),
+        lambda i, j: integrals.j_inner(kernel.theta, pts[i], pts[j]),
+    )

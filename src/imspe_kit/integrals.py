@@ -25,9 +25,6 @@ from scipy.special import erf
 from .errors import ValidationError
 from .kernels import Family, Kernel, check_point
 
-_SQRT_PI = math.sqrt(math.pi)
-
-
 def _check_theta(theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta) or theta <= 0.0:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ImspeKitError, NearSingularError, SolveError, ValidationError
-from .imspe import build_matrices, imspe_closed_n1, imspe_n2
+from .imspe import _fill_bordered, _n2_exp_form, build_matrices, imspe_closed_n1, imspe_n2
 from .kernels import Family, Kernel, corr1
 
 #: objective value assigned to out-of-domain or degenerate trial points
@@ -54,6 +54,20 @@ def fig_design(t: Sequence[float]) -> np.ndarray:
     return np.array([FIG_FIXED[0], FIG_FIXED[1], tuple(t), tuple(-t)])
 
 
+def _mp_gauss_border(t, a):
+    """Gaussian single-anchor design average in mpmath arithmetic.
+
+    The same-anchor pair average at decay rate t is this average at 2t.
+    """
+    g = mp.sqrt(t)
+    return mp.sqrt(mp.pi / (16 * t)) * (mp.erf(g * (1 + a)) + mp.erf(g * (1 - a)))
+
+
+def _mp_gauss_pair(t, a, b):
+    """Gaussian two-anchor design average in mpmath arithmetic."""
+    return _mp_gauss_border(2 * t, (a + b) / 2) * mp.e ** (-t * (a - b) ** 2 / 2)
+
+
 def _fig_imspe_hp(design: np.ndarray) -> float:
     """Extended-precision criterion for the constrained scenario.
 
@@ -64,47 +78,28 @@ def _fig_imspe_hp(design: np.ndarray) -> float:
     theta = [mp.mpf(t) for t in FIG_THETA]
     pts = [[mp.mpf(float(c)) for c in p] for p in design]
     n = len(pts)
+    one = mp.mpf(1)
 
-    def corr(p, q):
-        return mp.e ** (-sum(t * (a - b) ** 2 for t, a, b in zip(theta, p, q)))
+    def corr(i, j):
+        if i == j:
+            return one
+        return mp.e ** (-sum(t * (a - b) ** 2 for t, a, b in zip(theta, pts[i], pts[j])))
 
-    def border(p):
-        out = mp.mpf(1)
-        for t, a in zip(theta, p):
-            g = mp.sqrt(t)
-            out *= mp.sqrt(mp.pi / (16 * t)) * (mp.erf(g * (1 + a)) + mp.erf(g * (1 - a)))
-        return out
+    def border(i):
+        return math.prod((_mp_gauss_border(t, a) for t, a in zip(theta, pts[i])), start=one)
 
-    def inner(p, q):
-        out = mp.mpf(1)
-        for t, a, b in zip(theta, p, q):
-            g = mp.sqrt(2 * t)
-            mid = (a + b) / 2
-            out *= (
-                mp.sqrt(mp.pi / (32 * t))
-                * (mp.erf(g * (1 + mid)) + mp.erf(g * (1 - mid)))
-                * mp.e ** (-t * (a - b) ** 2 / 2)
-            )
-        return out
+    def inner(i, j):
+        if i == j:
+            terms = (_mp_gauss_border(2 * t, a) for t, a in zip(theta, pts[i]))
+        else:
+            terms = (_mp_gauss_pair(t, a, b) for t, a, b in zip(theta, pts[i], pts[j]))
+        return math.prod(terms, start=one)
 
     with mp.workdps(_HP_DPS):
-        big_l = mp.zeros(n + 1)
-        big_r = mp.zeros(n + 1)
-        big_r[0, 0] = mp.mpf(1)
-        for i in range(n):
-            big_l[0, 1 + i] = big_l[1 + i, 0] = mp.mpf(1)
-            big_l[1 + i, 1 + i] = mp.mpf(1)
-            bi = border(pts[i])
-            big_r[0, 1 + i] = big_r[1 + i, 0] = bi
-            big_r[1 + i, 1 + i] = inner(pts[i], pts[i])
-            for j in range(i + 1, n):
-                big_l[1 + i, 1 + j] = big_l[1 + j, 1 + i] = corr(pts[i], pts[j])
-                big_r[1 + i, 1 + j] = big_r[1 + j, 1 + i] = inner(pts[i], pts[j])
+        big_l = _fill_bordered(mp.zeros(n + 1), mp.mpf(0), lambda i: one, corr)
+        big_r = _fill_bordered(mp.zeros(n + 1), one, border, inner)
         linv = mp.inverse(big_l)
-        trace = mp.mpf(0)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                trace += linv[i, j] * big_r[j, i]
+        trace = sum(linv[i, j] * big_r[j, i] for i in range(n + 1) for j in range(n + 1))
         return float(1 - trace)
 
 
@@ -138,6 +133,18 @@ class OptimumReport:
     gradient_norm: float
     second_order_check: tuple[float, ...]
     boundary_distance: float
+
+
+def _failed_report(n: int) -> OptimumReport:
+    """All-NaN, non-converged report for an n-point search that found nothing."""
+    return OptimumReport(
+        design=((math.nan,),) * n,
+        imspe_value=math.nan,
+        converged=False,
+        gradient_norm=math.nan,
+        second_order_check=(math.nan,) * n,
+        boundary_distance=math.nan,
+    )
 
 
 def _n1_objective(kernel: Kernel, theta: float, x: float) -> float:
@@ -224,20 +231,7 @@ _HP_DPS = 40
 
 def _hp_imspe_exp(theta, x1, x2):
     """Two-point exponential-family criterion in mpmath arithmetic."""
-    s = abs(x1 - x2)
-    e_s = mp.e ** (-theta * s)
-    one_minus = 1 - e_s
-
-    def fold(t, x):
-        return (mp.e ** (-t * (1 - x)) + mp.e ** (-t * (1 + x))) / 2
-
-    a1 = (1 - fold(theta, x1)) / theta
-    a2 = (1 - fold(theta, x2)) / theta
-    b1 = (1 - fold(2 * theta, x1)) / (4 * theta * one_minus)
-    b2 = (1 - fold(2 * theta, x2)) / (4 * theta * one_minus)
-    cross = (mp.e ** (-theta * (2 - (x1 + x2))) + mp.e ** (-theta * (2 + x1 + x2))) / 2
-    c = (e_s - cross + theta * s * e_s) / (2 * theta * one_minus)
-    return (3 + e_s) / 2 + c - a1 - a2 - b1 - b2
+    return _n2_exp_form(theta, x1, x2, lambda v: mp.e ** v, mp.mpf(1))
 
 
 def _hp_imspe_gauss(theta, x1, x2):
@@ -247,28 +241,11 @@ def _hp_imspe_gauss(theta, x1, x2):
     """
     v = mp.e ** (-theta * (x1 - x2) ** 2)
     one_minus = 1 - v
-
-    def border(t, x):
-        g = mp.sqrt(t)
-        return mp.sqrt(mp.pi / (16 * t)) * (mp.erf(g * (1 + x)) + mp.erf(g * (1 - x)))
-
-    def body_diag(x):
-        g = mp.sqrt(2 * theta)
-        return mp.sqrt(mp.pi / (32 * theta)) * (
-            mp.erf(g * (1 + x)) + mp.erf(g * (1 - x))
-        )
-
-    mid = (x1 + x2) / 2
-    g2 = mp.sqrt(2 * theta)
-    r12 = (
-        mp.sqrt(mp.pi / (32 * theta))
-        * (mp.erf(g2 * (1 + mid)) + mp.erf(g2 * (1 - mid)))
-        * mp.e ** (-theta * (x1 - x2) ** 2 / 2)
-    )
-    r01 = border(theta, x1)
-    r02 = border(theta, x2)
-    r11 = body_diag(x1)
-    r22 = body_diag(x2)
+    r12 = _mp_gauss_pair(theta, x1, x2)
+    r01 = _mp_gauss_border(theta, x1)
+    r02 = _mp_gauss_border(theta, x2)
+    r11 = _mp_gauss_border(2 * theta, x1)
+    r22 = _mp_gauss_border(2 * theta, x2)
     linv00 = -(1 + v) / 2
     linv_border = mp.mpf(1) / 2
     linv_diag = 1 / (2 * one_minus)
@@ -411,14 +388,7 @@ def optimize_n2(
     else:
         raise ValidationError(f"unknown constraint: {constraint!r}")
     if best_pt is None or best_val >= _PENALTY_BASE:
-        return OptimumReport(
-            design=((math.nan,), (math.nan,)),
-            imspe_value=math.nan,
-            converged=False,
-            gradient_norm=math.nan,
-            second_order_check=(math.nan, math.nan),
-            boundary_distance=math.nan,
-        )
+        return _failed_report(2)
     x1, x2 = best_pt
     if (
         kernel.family in (Family.EXP_P1, Family.GAUSS_P2)
@@ -469,14 +439,7 @@ def _sweep_point(args) -> OptimumReport:
             return optimize_n1(kernel, theta)
         return optimize_n2(kernel, theta, constraint=constraint)
     except ImspeKitError:
-        return OptimumReport(
-            design=((math.nan,),) * n,
-            imspe_value=math.nan,
-            converged=False,
-            gradient_norm=math.nan,
-            second_order_check=(math.nan,) * n,
-            boundary_distance=math.nan,
-        )
+        return _failed_report(n)
 
 
 def sweep_theta(

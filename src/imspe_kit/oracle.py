@@ -4,7 +4,8 @@ Everything here is deliberately dumb and slow: adaptive Simpson quadrature
 on the raw correlation integrands, with forced subdivision at the anchor
 points where the exponential/Matern integrands kink.  No closed form from
 the rest of the package is reused, so agreement between the two paths is
-meaningful evidence.
+meaningful evidence; only the bookkeeping that fills a bordered matrix is
+shared with the fast path.
 
 The oracle raises :class:`QuadratureError` instead of silently returning a
 low-quality estimate when the tolerance cannot be met.
@@ -12,12 +13,12 @@ low-quality estimate when the tolerance cannot be met.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import QuadratureError
+from .imspe import _fill_bordered
 from .kernels import Family, Kernel, corr1, corr_point
 
 _MAX_DEPTH = 60
@@ -120,6 +121,21 @@ def r_inner_quad(
     return out
 
 
+def _corr_matrix(kernel: Kernel, design: np.ndarray) -> np.ndarray:
+    """Bordered correlation matrix L from raw ``corr1`` products."""
+    n = design.shape[0]
+
+    def body(i, j):
+        if i == j:
+            return 1.0
+        v = 1.0
+        for t, a, b in zip(kernel.theta, design[i], design[j]):
+            v *= corr1(kernel.family, t, a - b)
+        return v
+
+    return _fill_bordered(np.zeros((n + 1, n + 1)), 0.0, lambda i: 1.0, body)
+
+
 def imspe_quad(kernel: Kernel, design, *, abs_tol: float = 1e-12) -> float:
     """Integrated MSPE via the bordered-trace identity with quadrature elements.
 
@@ -128,27 +144,13 @@ def imspe_quad(kernel: Kernel, design, *, abs_tol: float = 1e-12) -> float:
     """
     design = np.asarray(design, dtype=float)
     n = design.shape[0]
-    big_l = np.zeros((n + 1, n + 1))
-    big_l[0, 1:] = 1.0
-    big_l[1:, 0] = 1.0
-    for i in range(n):
-        big_l[1 + i, 1 + i] = 1.0
-        for j in range(i + 1, n):
-            v = 1.0
-            for t, a, b in zip(kernel.theta, design[i], design[j]):
-                v *= corr1(kernel.family, t, a - b)
-            big_l[1 + i, 1 + j] = v
-            big_l[1 + j, 1 + i] = v
-    big_r = np.zeros((n + 1, n + 1))
-    big_r[0, 0] = 1.0
-    for i in range(n):
-        bi = r_border_quad(kernel, design[i], abs_tol=abs_tol)
-        big_r[0, 1 + i] = bi
-        big_r[1 + i, 0] = bi
-        for j in range(i, n):
-            v = r_inner_quad(kernel, design[i], design[j], abs_tol=abs_tol)
-            big_r[1 + i, 1 + j] = v
-            big_r[1 + j, 1 + i] = v
+    big_l = _corr_matrix(kernel, design)
+    big_r = _fill_bordered(
+        np.zeros((n + 1, n + 1)),
+        1.0,
+        lambda i: r_border_quad(kernel, design[i], abs_tol=abs_tol),
+        lambda i, j: r_inner_quad(kernel, design[i], design[j], abs_tol=abs_tol),
+    )
     return 1.0 - float(np.trace(np.linalg.solve(big_l, big_r)))
 
 
@@ -161,17 +163,7 @@ def mspe_grid_quad(kernel: Kernel, design, n_grid: int = 401) -> float:
     """
     design = np.asarray(design, dtype=float)
     n, d = design.shape
-    big_l = np.zeros((n + 1, n + 1))
-    big_l[0, 1:] = 1.0
-    big_l[1:, 0] = 1.0
-    for i in range(n):
-        big_l[1 + i, 1 + i] = 1.0
-        for j in range(i + 1, n):
-            v = 1.0
-            for t, a, b in zip(kernel.theta, design[i], design[j]):
-                v *= corr1(kernel.family, t, a - b)
-            big_l[1 + i, 1 + j] = v
-            big_l[1 + j, 1 + i] = v
+    big_l = _corr_matrix(kernel, design)
     axis = np.linspace(-1.0, 1.0, n_grid)
     w1 = np.ones(n_grid)
     w1[0] = w1[-1] = 0.5

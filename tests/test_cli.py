@@ -126,6 +126,22 @@ def test_bad_grid_spec_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("probe", "--center", "a,b"),
+        ("probe", "--directions", "1,0;0,x"),
+        ("probe", "--h-sequence", "0.1,x"),
+        ("scan", "--mode", "n2", "--kernel", "exp-p1", "--grid=-1:1:3"),
+    ],
+)
+def test_malformed_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------

@@ -104,6 +104,33 @@ def test_imspe_against_3x3_adjugate():
 # structural symmetries
 # ---------------------------------------------------------------------------
 
+def test_fill_bordered_numpy_and_mpmath_agree():
+    import mpmath as mp
+
+    from imspe_kit.imspe import _fill_bordered
+
+    n = 4
+    calls = []
+
+    def edge(i):
+        return 0.5 + 0.125 * i
+
+    def body(i, j):
+        calls.append((i, j))
+        return 1.0 / (1.0 + i + 2.0 * j)
+
+    arr = _fill_bordered(np.zeros((n + 1, n + 1)), 0.25, edge, body)
+    mat = _fill_bordered(mp.zeros(n + 1), 0.25, edge, body)
+    # body is asked once per unordered pair, i <= j, for each matrix
+    assert calls == [(i, j) for i in range(n) for j in range(i, n)] * 2
+    assert np.array_equal(arr, arr.T)
+    assert arr[0, 0] == 0.25
+    assert [arr[0, 1 + i] for i in range(n)] == [edge(i) for i in range(n)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            assert float(mat[i, j]) == arr[i, j]
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_reflection_symmetry(family):
     k = Kernel(family, (3.0,))

@@ -9,6 +9,7 @@ from imspe_kit import (
     Family,
     Kernel,
     ValidationError,
+    build_matrices,
     discontinuity_probe,
     envelope_x1,
     fig_design,
@@ -202,6 +203,16 @@ def test_fig_imspe_precision_handoff_is_seamless():
     t_in = _FIG_HP_SEPARATION / 2.0 * 0.95
     gap = abs(fig_imspe(t_out, 0.0) - fig_imspe(t_in, 0.0))
     assert gap < 1e-6
+
+
+@pytest.mark.parametrize("t", [(0.3, 0.2), (0.9, 0.05)])
+def test_fig_extended_precision_matches_double_on_separated_designs(t):
+    from imspe_kit.optimize import _fig_imspe_hp
+
+    design = fig_design(t)
+    result = build_matrices(fig_kernel(), design)
+    gap = abs(_fig_imspe_hp(design) - result.imspe)
+    assert gap <= 1e-12 + 1e-14 * result.cond_estimate
 
 
 def test_probe_certifies_origin_discontinuity():

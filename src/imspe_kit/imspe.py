@@ -117,26 +117,25 @@ def _solve_bordered(kernel: Kernel, pts, border, inner) -> ImspeMatrices:
     return ImspeMatrices(L=big_l, R=big_r, imspe=value, cond_estimate=cond)
 
 
-def build_matrices(kernel: Kernel, design, *, strict: bool = True) -> ImspeMatrices:
+def build_matrices(kernel: Kernel, design) -> ImspeMatrices:
     """Assemble L and R for a design and compute the criterion.
 
-    ``strict`` requires pairwise-distinct points (L invertibility); the
-    cluster-variable analysis deliberately relaxes this elsewhere.
+    The points must be pairwise distinct (L invertibility).  The design is
+    validated once here; R is filled from the unchecked integral bodies.
     """
     pts = _as_design(design, kernel.d)
     n = len(pts)
-    if strict:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if pts[i] == pts[j]:
-                    raise NearSingularError(
-                        f"design points {i} and {j} coincide at {pts[i]}", pair=(i, j)
-                    )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pts[i] == pts[j]:
+                raise NearSingularError(
+                    f"design points {i} and {j} coincide at {pts[i]}", pair=(i, j)
+                )
     return _solve_bordered(
         kernel,
         pts,
-        lambda i: integrals.r_border(kernel, pts[i]),
-        lambda i, j: integrals.r_inner(kernel, pts[i], pts[j]),
+        lambda i: integrals._r_border(kernel, pts[i]),
+        lambda i, j: integrals._r_inner(kernel, pts[i], pts[j]),
     )
 
 

@@ -11,6 +11,9 @@ Two-point optima use deterministic-multistart Nelder-Mead (no randomness
 anywhere, so repeated runs and parallel runs are bit-identical).  Scans and
 theta-sweeps are embarrassingly parallel; results are assembled in index
 order so output is independent of the worker count.
+
+``scipy.optimize`` is imported by the search functions themselves, so code
+that only evaluates or scans designs never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ImspeKitError, NearSingularError, SolveError, ValidationError
 from .imspe import _fill_bordered, _n2_exp_form, build_matrices, imspe_closed_n1, imspe_n2
@@ -65,7 +67,7 @@ def _mp_gauss_border(t, a):
 
 def _mp_gauss_pair(t, a, b):
     """Gaussian two-anchor design average in mpmath arithmetic."""
-    return _mp_gauss_border(2 * t, (a + b) / 2) * mp.e ** (-t * (a - b) ** 2 / 2)
+    return _mp_gauss_border(2 * t, (a + b) / 2) * mp.exp(-t * (a - b) ** 2 / 2)
 
 
 def _fig_imspe_hp(design: np.ndarray) -> float:
@@ -83,7 +85,7 @@ def _fig_imspe_hp(design: np.ndarray) -> float:
     def corr(i, j):
         if i == j:
             return one
-        return mp.e ** (-sum(t * (a - b) ** 2 for t, a, b in zip(theta, pts[i], pts[j])))
+        return mp.exp(-sum(t * (a - b) ** 2 for t, a, b in zip(theta, pts[i], pts[j])))
 
     def border(i):
         return math.prod((_mp_gauss_border(t, a) for t, a in zip(theta, pts[i])), start=one)
@@ -160,6 +162,8 @@ def _n1_derivative(kernel: Kernel, theta: float, x: float) -> float:
 
 def optimize_n1(kernel: Kernel, theta: float, *, tol_x: float = 1e-8) -> OptimumReport:
     """Single-point optimal design on [-1, 1]."""
+    from scipy.optimize import minimize_scalar
+
     if kernel.d != 1:
         raise ValidationError("single-point search requires d = 1")
     theta = float(theta)
@@ -231,7 +235,7 @@ _HP_DPS = 40
 
 def _hp_imspe_exp(theta, x1, x2):
     """Two-point exponential-family criterion in mpmath arithmetic."""
-    return _n2_exp_form(theta, x1, x2, lambda v: mp.e ** v, mp.mpf(1))
+    return _n2_exp_form(theta, x1, x2, mp.exp, mp.mpf(1))
 
 
 def _hp_imspe_gauss(theta, x1, x2):
@@ -239,7 +243,7 @@ def _hp_imspe_gauss(theta, x1, x2):
 
     Uses the explicit bordered 3x3 inverse and the elementwise-product trace.
     """
-    v = mp.e ** (-theta * (x1 - x2) ** 2)
+    v = mp.exp(-theta * (x1 - x2) ** 2)
     one_minus = 1 - v
     r12 = _mp_gauss_pair(theta, x1, x2)
     r01 = _mp_gauss_border(theta, x1)
@@ -267,6 +271,8 @@ def _hp_refine_n2(family: Family, theta: float, seeds, tol_x: float):
     ``seeds`` are double-precision starting pairs; returns the best (x1, x2)
     and a scaled-residual objective for diagnostics.
     """
+    from scipy.optimize import minimize
+
     hp_f = _hp_imspe_exp if family is Family.EXP_P1 else _hp_imspe_gauss
 
     def hp_value(pt):
@@ -354,6 +360,8 @@ def optimize_n2(
     scalar half-separation; the default searches both coordinates by
     Nelder-Mead from the deterministic multistart lattice.
     """
+    from scipy.optimize import minimize, minimize_scalar
+
     if kernel.d != 1:
         raise ValidationError("two-point search requires d = 1")
     theta = float(theta)
@@ -507,8 +515,9 @@ def scan_surface(
     if parallel <= 1:
         values = [_scan_eval(t) for t in tasks]
     else:
+        chunk = math.ceil(len(tasks) / (4 * parallel))
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            values = list(pool.map(_scan_eval, tasks))
+            values = list(pool.map(_scan_eval, tasks, chunksize=chunk))
     return [tuple(c) + (v,) for c, v in zip(coords, values)]
 
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imspe_kit
 from imspe_kit import Family, Kernel, build_matrices, expansion_gauss, st_term
 from imspe_kit.cli import (
     EXIT_OK,
@@ -340,3 +345,14 @@ def test_output_file_flag(tmp_path, capsys):
     assert out == ""
     record = json.loads(target.read_text())
     assert math.isfinite(record["imspe"])
+
+
+def test_cli_import_does_not_load_the_optimizer():
+    # scipy.optimize is imported by the first design search, not at start-up
+    code = "import sys, imspe_kit.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(imspe_kit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    assert out.strip() == "False"

@@ -100,6 +100,12 @@ def test_imspe_against_3x3_adjugate():
         assert value == pytest.approx(mats.imspe, abs=1e-12)
 
 
+def test_stiff_matern_pair_matches_40_digit_value():
+    # 40-digit reference criterion of this design
+    value = build_matrices(Kernel(Family.MATERN52, (3000.0,)), [[0.9], [0.95]]).imspe
+    assert abs(value - 1.4658850702157534) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # structural symmetries
 # ---------------------------------------------------------------------------

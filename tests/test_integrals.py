@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,36 @@ def test_inner_integrals_edge_cases(fn, family, a, b, theta):
     assert fn(a, b, theta) == pytest.approx(
         oracle.inner_1d_quad(family, a, b, theta), abs=1e-10
     )
+
+
+def _mp_matern_pair(order, a, b, theta):
+    """30-digit (1/2) * integral of a Matern pair product, split at the anchors."""
+    with mp.workdps(30):
+        g = mp.sqrt(order * mp.mpf(theta))
+
+        def rho(r):
+            t = g * abs(r)
+            return (1 + t + (t * t / 3 if order == 5 else 0)) * mp.exp(-t)
+
+        knots = sorted({mp.mpf(-1), mp.mpf(a), mp.mpf(b), mp.mpf(1)})
+        return mp.quad(lambda x: rho(x - a) * rho(x - b), knots) / 2
+
+
+@pytest.mark.parametrize("fn,order", [(integrals.i6, 3), (integrals.i8, 5)])
+@pytest.mark.parametrize(
+    "a,b,theta",
+    [
+        (0.9670248270405626, 0.9670248270405626, 2959.3066409872763),  # same anchor, stiff
+        (0.999999, 1.0, 1e4),  # near-coincident at the boundary, stiffest theta
+        (0.3, -0.4, 1e-300),  # tiny incomplete-gamma arguments
+        (-1.0, 1.0, 1e-12),  # empty outer segments, nearly flat integrand
+        (0.5, -0.25, 1e-8),
+        (-0.9, 0.7, 1.0),
+        (0.2, 0.6, 100.0),
+    ],
+)
+def test_matern_pair_integrals_match_30_digit_reference(fn, order, a, b, theta):
+    assert abs(fn(a, b, theta) - float(_mp_matern_pair(order, a, b, theta))) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)

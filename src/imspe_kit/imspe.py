@@ -6,9 +6,10 @@ with a unit corner and design-domain-averaged correlation products in the
 border and body.  The criterion is ``imspe = 1 - tr(solve(L) @ R)`` (process
 variance normalized to 1).
 
-Small closed-form specializations (n = 1 for every family, n = 2 for the
-exponential family) are provided alongside the general solve path, plus the
-affine domain-rescaling rule under which the criterion is invariant.
+One-dimensional closed forms (n = 1 and n = 2 for every family: at n = 2 the
+six-term exponential form, or else the explicit bordered inverse) sit beside
+the general solve path, with the affine domain rescaling that keeps the
+criterion invariant.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
-from .kernels import Family, Kernel, check_point, corr_pair
+from .kernels import Family, Kernel, check_point, corr1, corr_pair
 
-#: condition-number ceiling beyond which the solve path refuses to answer
+#: condition-number ceiling of L beyond which the solve path and the n = 2 form refuse
 COND_LIMIT = 1e13
 
 
@@ -88,6 +89,23 @@ def _fill_bordered(m, corner, edge, body):
     return m
 
 
+def _check_cond(cond: float) -> float:
+    """Refuse an L whose 2-norm condition number is non-finite or above the ceiling."""
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise SolveError(
+            f"bordered matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}",
+            cond_estimate=cond,
+        )
+    return cond
+
+
+def _check_value(value: float, cond: float) -> float:
+    """Refuse a criterion value that is not finite."""
+    if not math.isfinite(value):
+        raise SolveError("criterion evaluated to a non-finite value", cond_estimate=cond)
+    return value
+
+
 def _solve_bordered(kernel: Kernel, pts, border, inner) -> ImspeMatrices:
     """Criterion of validated points with R entries ``border(i)``, ``inner(i, j)``.
 
@@ -101,19 +119,12 @@ def _solve_bordered(kernel: Kernel, pts, border, inner) -> ImspeMatrices:
         lambda i, j: 1.0 if i == j else corr_pair(kernel, pts[i], pts[j]),
     )
     big_r = _fill_bordered(np.zeros((n + 1, n + 1)), 1.0, border, inner)
-    cond = float(np.linalg.cond(big_l))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SolveError(
-            f"bordered matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            cond_estimate=cond,
-        )
+    cond = _check_cond(float(np.linalg.cond(big_l)))
     try:
         solved = np.linalg.solve(big_l, big_r)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check fires first
         raise SolveError(f"linear solve failed: {exc}", cond_estimate=cond) from exc
-    value = 1.0 - float(np.trace(solved))
-    if not math.isfinite(value):
-        raise SolveError("criterion evaluated to a non-finite value", cond_estimate=cond)
+    value = _check_value(1.0 - float(np.trace(solved)), cond)
     return ImspeMatrices(L=big_l, R=big_r, imspe=value, cond_estimate=cond)
 
 
@@ -204,19 +215,39 @@ def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
     return _n2_exp_form(theta, x1, x2, math.exp, 1.0)
 
 
+def _n2_bordered_form(rho, r01, r02, r11, r22, r12, one):
+    """Two-point criterion from the explicit inverse of L = [[0,1,1],[1,1,rho],[1,rho,1]]
+    and R's border ``r0i`` and body ``rij``, in the arithmetic of ``one`` (1.0 or mpf)."""
+    two = one + one
+    return one + (one + rho) / two - r01 - r02 - (r11 + r22 - two * r12) / (two * (one - rho))
+
+
+def _cond_n2(rho: float) -> float:
+    """Exact 2-norm condition number of the two-point L: its eigenvalues are 1 - rho
+    and ((1+rho) +- sqrt((1+rho)^2+8))/2, and for 0 <= rho <= 1 the extremes in
+    magnitude are the positive root and 1 - rho."""
+    lam = 0.5 * (1.0 + rho + math.sqrt((1.0 + rho) ** 2 + 8.0))
+    return lam / (1.0 - rho) if rho < 1.0 else math.inf
+
+
 def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
-    """Two-point, one-dimensional criterion: closed form where one exists,
-    otherwise the 3x3 bordered solve."""
+    """Two-point, one-dimensional criterion in closed form for every family: the
+    six-term exponential form, or the explicit bordered inverse guarded by the
+    solve path's ceiling on the exact condition number of L."""
     if kernel.d != 1:
         raise ValidationError("two-point form requires d = 1")
     if kernel.family is Family.EXP_P1:
         return imspe_closed_n2_exp(theta, x1, x2)
-    k = Kernel(kernel.family, (float(theta),))
-    if float(x1) == float(x2):
-        raise NearSingularError(
-            "coincident pair: use the cluster-variable analysis", pair=(0, 1)
-        )
-    return build_matrices(k, [[x1], [x2]]).imspe
+    theta = integrals._check_theta(theta)
+    x1, x2 = integrals._check_coord(x1), integrals._check_coord(x2)
+    if x1 == x2:
+        raise NearSingularError("coincident pair: use the cluster-variable analysis", pair=(0, 1))
+    rho = corr1(kernel.family, theta, x1 - x2)
+    cond = _check_cond(_cond_n2(rho))
+    border, inner = integrals._BORDER[kernel.family], integrals._INNER[kernel.family]
+    r01, r02, r12 = border(x1, theta), border(x2, theta), inner(x1, x2, theta)
+    value = _n2_bordered_form(rho, r01, r02, inner(x1, x1, theta), inner(x2, x2, theta), r12, 1.0)
+    return _check_value(float(value), cond)
 
 
 def domain_transform(

@@ -27,7 +27,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ImspeKitError, NearSingularError, SolveError, ValidationError
-from .imspe import _fill_bordered, _n2_exp_form, build_matrices, imspe_closed_n1, imspe_n2
+from .imspe import _fill_bordered, _n2_bordered_form, _n2_exp_form, build_matrices
+from .imspe import imspe_closed_n1, imspe_n2
 from .kernels import Family, Kernel, corr1
 
 #: objective value assigned to out-of-domain or degenerate trial points
@@ -118,11 +119,9 @@ def fig_imspe(t1: float, t2: float) -> float:
         for i in range(len(design))
         for j in range(i + 1, len(design))
     )
-    if min_sep == 0.0:
-        return build_matrices(fig_kernel(), design).imspe  # raises the pair error
-    if min_sep < _FIG_HP_SEPARATION:
+    if 0.0 < min_sep < _FIG_HP_SEPARATION:
         return _fig_imspe_hp(design)
-    return build_matrices(fig_kernel(), design).imspe
+    return build_matrices(fig_kernel(), design).imspe  # raises the pair error at 0
 
 
 @dataclass(frozen=True)
@@ -239,30 +238,12 @@ def _hp_imspe_exp(theta, x1, x2):
 
 
 def _hp_imspe_gauss(theta, x1, x2):
-    """Two-point Gaussian-family criterion in mpmath arithmetic.
-
-    Uses the explicit bordered 3x3 inverse and the elementwise-product trace.
-    """
-    v = mp.exp(-theta * (x1 - x2) ** 2)
-    one_minus = 1 - v
-    r12 = _mp_gauss_pair(theta, x1, x2)
-    r01 = _mp_gauss_border(theta, x1)
-    r02 = _mp_gauss_border(theta, x2)
-    r11 = _mp_gauss_border(2 * theta, x1)
-    r22 = _mp_gauss_border(2 * theta, x2)
-    linv00 = -(1 + v) / 2
-    linv_border = mp.mpf(1) / 2
-    linv_diag = 1 / (2 * one_minus)
-    linv_off = -1 / (2 * one_minus)
-    trace = (
-        linv00 * 1
-        + 2 * linv_border * r01
-        + 2 * linv_border * r02
-        + linv_diag * r11
-        + linv_diag * r22
-        + 2 * linv_off * r12
-    )
-    return 1 - trace
+    """Two-point Gaussian-family criterion in mpmath arithmetic: the explicit
+    bordered inverse of the float path, fed with the 40-digit averages."""
+    r01, r02 = _mp_gauss_border(theta, x1), _mp_gauss_border(theta, x2)
+    r11, r22 = _mp_gauss_border(2 * theta, x1), _mp_gauss_border(2 * theta, x2)
+    rho, r12 = mp.exp(-theta * (x1 - x2) ** 2), _mp_gauss_pair(theta, x1, x2)
+    return _n2_bordered_form(rho, r01, r02, r11, r22, r12, mp.mpf(1))
 
 
 def _hp_refine_n2(family: Family, theta: float, seeds, tol_x: float):

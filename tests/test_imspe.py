@@ -21,7 +21,7 @@ from imspe_kit import (
     imspe_n2,
     imspe_quadratic,
 )
-from imspe_kit.imspe import COND_LIMIT, inverse_sym_3x3, trace_of_product_sym
+from imspe_kit.imspe import COND_LIMIT, _cond_n2, inverse_sym_3x3, trace_of_product_sym
 
 ALL_FAMILIES = list(Family)
 RNG = np.random.default_rng(11)
@@ -85,11 +85,48 @@ def test_closed_n2_exp_overflow_safe_at_large_theta():
     assert 0.0 < v < 2.0
 
 
+def _n2_designs(rng, count):
+    """(theta, x1, x2): theta log-uniform on [1e-2, 1e3]; even draws are random
+    pairs, odd ones near-coincident pairs separated by 1e-7 to 1e-1."""
+    out = []
+    while len(out) < count:
+        theta = float(10.0 ** rng.uniform(-2.0, 3.0))
+        x1 = float(rng.uniform(-1.0, 1.0))
+        if len(out) % 2 == 0:
+            x2 = float(rng.uniform(-1.0, 1.0))
+        else:
+            x2 = x1 + float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.0, -1.0))
+        if abs(x2) <= 1.0 and x1 != x2:
+            out.append((theta, x1, x2))
+    return out
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_imspe_n2_dispatch(family):
     k = Kernel(family, (2.0,))
     direct = imspe_n2(k, 2.0, 0.5, -0.4)
+    assert type(direct) is float
     assert direct == pytest.approx(build_matrices(k, [[0.5], [-0.4]]).imspe, abs=1e-12)
+    # random and near-coincident pairs: same value as the solve path within
+    # its conditioning bound, and the same refusals away from the ceiling
+    for theta, x1, x2 in _n2_designs(np.random.default_rng(17), 200):
+        kt = Kernel(family, (theta,))
+        try:
+            solved = build_matrices(kt, [[x1], [x2]])
+        except SolveError as exc:
+            solved, cond = None, exc.cond_estimate
+        else:
+            cond = solved.cond_estimate
+        try:
+            value = imspe_n2(kt, theta, x1, x2)
+        except SolveError:
+            value = None
+        if abs(cond / COND_LIMIT - 1.0) <= 0.01:
+            continue
+        assert (value is None) == (solved is None), (theta, x1, x2, cond)
+        if value is not None:
+            assert type(value) is float
+            assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * cond, (theta, x1, x2)
 
 
 def test_imspe_against_3x3_adjugate():
@@ -104,6 +141,17 @@ def test_stiff_matern_pair_matches_40_digit_value():
     # 40-digit reference criterion of this design
     value = build_matrices(Kernel(Family.MATERN52, (3000.0,)), [[0.9], [0.95]]).imspe
     assert abs(value - 1.4658850702157534) <= 1e-14
+    value = imspe_n2(Kernel(Family.MATERN52, (3000.0,)), 3000.0, 0.9, 0.95)
+    assert abs(value - 1.4658850702157534) <= 1e-14
+
+
+def test_closed_form_condition_number_matches_svd():
+    # rho from 0 up to where cond(L) = (1 + sqrt(3)) / (1 - rho) reaches 1e10
+    last_gap = (1.0 + math.sqrt(3.0)) / 1e10
+    gaps = np.concatenate([np.linspace(1.0, 0.1, 100), np.geomspace(0.1, last_gap, 100)])
+    for rho in 1.0 - gaps:
+        big_l = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, rho], [1.0, rho, 1.0]])
+        assert _cond_n2(rho) == pytest.approx(float(np.linalg.cond(big_l)), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +231,9 @@ def test_near_singular_solve_refused():
     k = Kernel(Family.GAUSS_P2, (1.0,))
     with pytest.raises(SolveError) as exc_info:
         build_matrices(k, [[0.1], [0.1 + 1e-9]])
+    assert exc_info.value.cond_estimate > COND_LIMIT
+    with pytest.raises(SolveError) as exc_info:
+        imspe_n2(k, 1.0, 0.1, 0.1 + 1e-9)
     assert exc_info.value.cond_estimate > COND_LIMIT
 
 

@@ -286,15 +286,19 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-_VALIDATE_CASES_1D = (
-    ("single-anchor exp", Family.EXP_P1, False),
-    ("pair exp", Family.EXP_P1, True),
-    ("single-anchor gauss", Family.GAUSS_P2, False),
-    ("pair gauss", Family.GAUSS_P2, True),
-    ("single-anchor matern-3-2", Family.MATERN32, False),
-    ("pair matern-3-2", Family.MATERN32, True),
-    ("single-anchor matern-5-2", Family.MATERN52, False),
-    ("pair matern-5-2", Family.MATERN52, True),
+#: label, family argument, lower end of the anchor domain (the upper end is
+#: 1), number of anchors, closed form in ``integrals``, quadrature in ``oracle``
+_VALIDATE_CASES = (
+    ("single-anchor exp", (Family.EXP_P1,), -1.0, 1, "border_1d", "border_1d_quad"),
+    ("pair exp", (Family.EXP_P1,), -1.0, 2, "inner_1d", "inner_1d_quad"),
+    ("single-anchor gauss", (Family.GAUSS_P2,), -1.0, 1, "border_1d", "border_1d_quad"),
+    ("pair gauss", (Family.GAUSS_P2,), -1.0, 2, "inner_1d", "inner_1d_quad"),
+    ("single-anchor matern-3-2", (Family.MATERN32,), -1.0, 1, "border_1d", "border_1d_quad"),
+    ("pair matern-3-2", (Family.MATERN32,), -1.0, 2, "inner_1d", "inner_1d_quad"),
+    ("single-anchor matern-5-2", (Family.MATERN52,), -1.0, 1, "border_1d", "border_1d_quad"),
+    ("pair matern-5-2", (Family.MATERN52,), -1.0, 2, "inner_1d", "inner_1d_quad"),
+    ("unit-domain single-anchor exp", (), 0.0, 1, "j1", "unit_border_1d_quad"),
+    ("unit-domain pair exp", (), 0.0, 2, "j2", "unit_inner_1d_quad"),
 )
 
 
@@ -307,37 +311,13 @@ def run_validation(samples: int, *, abs_tol: float = 1e-9) -> tuple[list[tuple],
     rng = np.random.default_rng(20240817)
     rows = []
     ok = True
-    for label, family, is_pair in _VALIDATE_CASES_1D:
+    for label, family, lo, n_anchors, closed_name, ref_name in _VALIDATE_CASES:
+        closed, ref = getattr(integrals, closed_name), getattr(oracle, ref_name)
         worst = 0.0
         for _ in range(samples):
             theta = float(10.0 ** rng.uniform(-2.0, 2.0))
-            a = float(rng.uniform(-1.0, 1.0))
-            if is_pair:
-                b = float(rng.uniform(-1.0, 1.0))
-                closed = integrals.inner_1d(family, a, b, theta)
-                ref = oracle.inner_1d_quad(family, a, b, theta)
-            else:
-                closed = integrals.border_1d(family, a, theta)
-                ref = oracle.border_1d_quad(family, a, theta)
-            err = abs(closed - ref)
-            worst = max(worst, err)
-        tol = abs_tol
-        passed = worst <= tol
-        ok = ok and passed
-        rows.append((label, worst, tol, passed))
-    for label, is_pair in (("unit-domain single-anchor exp", False), ("unit-domain pair exp", True)):
-        worst = 0.0
-        for _ in range(samples):
-            theta = float(10.0 ** rng.uniform(-2.0, 2.0))
-            a = float(rng.uniform(0.0, 1.0))
-            if is_pair:
-                b = float(rng.uniform(0.0, 1.0))
-                closed = integrals.j2(a, b, theta)
-                ref = oracle.unit_inner_1d_quad(a, b, theta)
-            else:
-                closed = integrals.j1(a, theta)
-                ref = oracle.unit_border_1d_quad(a, theta)
-            err = abs(closed - ref)
+            anchors = [float(rng.uniform(lo, 1.0)) for _ in range(n_anchors)]
+            err = abs(closed(*family, *anchors, theta) - ref(*family, *anchors, theta))
             worst = max(worst, err)
         passed = worst <= abs_tol
         ok = ok and passed

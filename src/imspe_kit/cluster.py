@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from scipy.special import erf
 
+from . import integrals
 from .errors import ValidationError
 from .imspe import imspe_n2
 from .kernels import Family, Kernel
@@ -57,32 +58,18 @@ class ExpansionSeries:
 
 def to_cluster(x1: float, x2: float) -> ClusterCoords:
     """Map a point pair to (center, signed half-separation)."""
-    x1, x2 = float(x1), float(x2)
-    for v in (x1, x2):
-        if not math.isfinite(v) or abs(v) > 1.0:
-            raise ValidationError(f"coordinate {v} outside [-1, 1]")
+    x1, x2 = integrals._check_coord(x1), integrals._check_coord(x2)
     x_t = (x1 + x2) / 2.0
     return ClusterCoords(x_t=x_t, delta=x1 - x_t)
 
 
 def from_cluster(c: ClusterCoords) -> tuple[float, float]:
     """Inverse of :func:`to_cluster`; exact round trip in floating point."""
-    x1 = c.x_t + c.delta
-    x2 = c.x_t - c.delta
-    for v in (x1, x2):
-        if not math.isfinite(v) or abs(v) > 1.0:
-            raise ValidationError(f"coordinate {v} outside [-1, 1]")
-    return x1, x2
+    return integrals._check_coord(c.x_t + c.delta), integrals._check_coord(c.x_t - c.delta)
 
 
 def _check_args(theta: float, x_t: float) -> tuple[float, float]:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValidationError(f"theta = {theta} must be positive and finite")
-    x_t = float(x_t)
-    if not math.isfinite(x_t) or abs(x_t) > 1.0:
-        raise ValidationError(f"center {x_t} outside [-1, 1]")
-    return theta, x_t
+    return integrals._check_theta(theta), integrals._check_coord(x_t)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +115,6 @@ def erf_pair_coeffs(c: float, theta: float, x_t: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # series coefficients of the generic border element
 # ---------------------------------------------------------------------------
-
-def _r0(theta: float, x_t: float) -> float:
-    """delta^0 coefficient of the border element."""
-    g = math.sqrt(theta)
-    return math.sqrt(math.pi / (16.0 * theta)) * (
-        erf(g * (1.0 + x_t)) + erf(g * (1.0 - x_t))
-    )
-
 
 def _r2(theta: float, x_t: float) -> float:
     """Coefficient of theta*delta^2 in the border element."""
@@ -200,16 +179,18 @@ def expansion_gauss_operator(x_t: float, theta: float) -> ExpansionSeries:
     doubled-theta border terms, leaving
     c0 = 2 - 2 R0(t) - R0(2t)/2 - R2(2t)/2 and
     c2 = -2 - 2 R2(t) - R2(2t) - R4(2t) - R0(2t)/2.
+    The delta^0 coefficient R0 is the single-anchor average ``integrals._i3``.
     """
     theta, x_t = _check_args(theta, x_t)
     t2 = 2.0 * theta
-    c0 = 2.0 - 2.0 * _r0(theta, x_t) - 0.5 * _r0(t2, x_t) - 0.5 * _r2(t2, x_t)
+    r0_t2 = integrals._i3(x_t, t2)
+    c0 = 2.0 - 2.0 * integrals._i3(x_t, theta) - 0.5 * r0_t2 - 0.5 * _r2(t2, x_t)
     c2 = (
         -2.0
         - 2.0 * _r2(theta, x_t)
         - _r2(t2, x_t)
         - _r4(t2, x_t)
-        - 0.5 * _r0(t2, x_t)
+        - 0.5 * r0_t2
     )
     return ExpansionSeries(c0=c0, c2=c2)
 

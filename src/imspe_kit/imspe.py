@@ -155,14 +155,23 @@ def imspe(kernel: Kernel, design) -> float:
     return build_matrices(kernel, design).imspe
 
 
+def _kernel_theta(kernel: Kernel, theta: float, what: str) -> float:
+    """The decay rate of a one-dimensional kernel, which ``theta`` must repeat."""
+    if kernel.d != 1:
+        raise ValidationError(f"{what} requires d = 1")
+    if float(theta) != kernel.theta[0]:
+        raise ValidationError(f"theta = {theta} differs from kernel.theta[0] = {kernel.theta[0]}")
+    return kernel.theta[0]
+
+
 def imspe_closed_n1(kernel: Kernel, theta: float, x1: float) -> float:
     """Closed form for a single point in one dimension.
 
     Equals ``2 * (1 - border(x1))`` for every family, where ``border`` is the
-    single-anchor design-average integral.
+    single-anchor design-average integral.  ``theta`` must equal
+    ``kernel.theta[0]``.
     """
-    if kernel.d != 1:
-        raise ValidationError("closed n=1 form requires d = 1")
+    theta = _kernel_theta(kernel, theta, "closed n=1 form")
     return 2.0 * (1.0 - integrals.border_1d(kernel.family, x1, theta))
 
 
@@ -194,24 +203,26 @@ def _n2_exp_form(theta, x1, x2, exp, one):
     return half * (one + two + e_s) + c - a1 - a2 - b1 - b2
 
 
-def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
-    """Six-term closed form for two points, one dimension, exponential family.
-
-    All cosh products are folded into pure decaying exponentials so the form
-    is overflow-safe at large theta.
-    """
-    theta = float(theta)
-    if theta <= 0.0 or not math.isfinite(theta):
-        raise ValidationError(f"theta = {theta} must be positive and finite")
-    x1, x2 = float(x1), float(x2)
-    check_point((x1,), 1)
-    check_point((x2,), 1)
+def _check_pair(x1: float, x2: float) -> tuple[float, float]:
+    """Validate two one-dimensional points and refuse a coincident pair."""
+    x1, x2 = integrals._check_coord(x1), integrals._check_coord(x2)
     if x1 == x2:
         raise NearSingularError(
             "coincident pair: the two-point closed form has a removable domain "
             "boundary here; use the cluster-variable analysis instead",
             pair=(0, 1),
         )
+    return x1, x2
+
+
+def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
+    """Six-term closed form for two points, one dimension, exponential family.
+
+    All cosh products are folded into pure decaying exponentials so the form
+    is overflow-safe at large theta.
+    """
+    theta = integrals._check_theta(theta)
+    x1, x2 = _check_pair(x1, x2)
     return _n2_exp_form(theta, x1, x2, math.exp, 1.0)
 
 
@@ -233,15 +244,12 @@ def _cond_n2(rho: float) -> float:
 def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
     """Two-point, one-dimensional criterion in closed form for every family: the
     six-term exponential form, or the explicit bordered inverse guarded by the
-    solve path's ceiling on the exact condition number of L."""
-    if kernel.d != 1:
-        raise ValidationError("two-point form requires d = 1")
+    solve path's ceiling on the exact condition number of L.  ``theta`` must
+    equal ``kernel.theta[0]``."""
+    theta = _kernel_theta(kernel, theta, "two-point form")
+    x1, x2 = _check_pair(x1, x2)
     if kernel.family is Family.EXP_P1:
-        return imspe_closed_n2_exp(theta, x1, x2)
-    theta = integrals._check_theta(theta)
-    x1, x2 = integrals._check_coord(x1), integrals._check_coord(x2)
-    if x1 == x2:
-        raise NearSingularError("coincident pair: use the cluster-variable analysis", pair=(0, 1))
+        return _n2_exp_form(theta, x1, x2, math.exp, 1.0)
     rho = corr1(kernel.family, theta, x1 - x2)
     cond = _check_cond(_cond_n2(rho))
     border, inner = integrals._BORDER[kernel.family], integrals._INNER[kernel.family]

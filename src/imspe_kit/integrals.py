@@ -22,7 +22,9 @@ anchors in either order.
 
 Each formula is written once, as an unchecked body (``_i1`` ... ``_i8``,
 ``_r_border``, ``_r_inner``) that takes validated floats; the public names
-validate their arguments and call it.
+validate their arguments and call it.  The Gaussian bodies ``_i3``/``_i4``
+are built by ``_gauss_averages`` from (sqrt, exp, erf, pi), which also
+builds their 40-digit copies from mpmath's functions.
 """
 
 from __future__ import annotations
@@ -102,21 +104,34 @@ def j2(a: float, b: float, theta: float) -> float:
 # Gaussian family (p = 2)
 # ---------------------------------------------------------------------------
 
-def _i3(a, theta):
-    g = math.sqrt(theta)
-    return math.sqrt(math.pi / (16.0 * theta)) * (erf(g * (1.0 + a)) + erf(g * (1.0 - a)))
+def _gauss_averages(sqrt, exp, erf, pi):
+    """Gaussian single-anchor and pair averages in the arithmetic of the four
+    functions: ``math``/``scipy`` for double precision, ``mpmath`` for more.
+
+    The pair average of an anchor with itself at decay rate theta equals the
+    single-anchor average at 2*theta.
+    """
+
+    def border(a, theta):
+        g = sqrt(theta)
+        return sqrt(pi / (16.0 * theta)) * (erf(g * (1.0 + a)) + erf(g * (1.0 - a)))
+
+    def pair(a, b, theta):
+        mid = 0.5 * (a + b)
+        g2 = sqrt(2.0 * theta)
+        pref = sqrt(pi / (32.0 * theta))
+        decay = exp(-0.5 * theta * (a - b) ** 2)
+        return pref * (erf(g2 * (1.0 + mid)) + erf(g2 * (1.0 - mid))) * decay
+
+    return border, pair
+
+
+_i3, _i4 = _gauss_averages(math.sqrt, math.exp, erf, math.pi)
 
 
 def i3(a: float, theta: float) -> float:
     """(1/2) * integral of e^(-theta*(a-x)^2) over [-1, 1]."""
     return _i3(_check_coord(a), _check_theta(theta))
-
-
-def _i4(a, b, theta):
-    mid = 0.5 * (a + b)
-    g2 = math.sqrt(2.0 * theta)
-    pref = math.sqrt(math.pi / (32.0 * theta))
-    return pref * (erf(g2 * (1.0 + mid)) + erf(g2 * (1.0 - mid))) * math.exp(-0.5 * theta * (a - b) ** 2)
 
 
 def i4(a: float, b: float, theta: float) -> float:

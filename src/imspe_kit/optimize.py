@@ -8,7 +8,12 @@ sign arbitrarily close to the root, so the polished optimum is centered to
 far better than the flat-region width.
 
 Two-point optima use deterministic-multistart Nelder-Mead (no randomness
-anywhere, so repeated runs and parallel runs are bit-identical).  Scans and
+anywhere, so repeated runs and parallel runs are bit-identical).  For the
+exponential and Gaussian families at decay rates of at least
+``HP_THRESHOLD`` the criterion is flat to double precision near the optimum,
+so the same multistart and penalised objective are run again on the 40-digit
+criterion, whose Gaussian averages are the float formulas of ``integrals``
+evaluated in mpmath arithmetic.  Scans and
 theta-sweeps are embarrassingly parallel; results are assembled in index
 order so output is independent of the worker count.
 
@@ -26,9 +31,10 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
+from . import integrals
 from .errors import ImspeKitError, NearSingularError, SolveError, ValidationError
-from .imspe import _fill_bordered, _n2_bordered_form, _n2_exp_form, build_matrices
-from .imspe import imspe_closed_n1, imspe_n2
+from .imspe import _fill_bordered, _kernel_theta, _n2_bordered_form, _n2_exp_form
+from .imspe import build_matrices, imspe_closed_n1, imspe_n2
 from .kernels import Family, Kernel, corr1
 
 #: objective value assigned to out-of-domain or degenerate trial points
@@ -57,18 +63,8 @@ def fig_design(t: Sequence[float]) -> np.ndarray:
     return np.array([FIG_FIXED[0], FIG_FIXED[1], tuple(t), tuple(-t)])
 
 
-def _mp_gauss_border(t, a):
-    """Gaussian single-anchor design average in mpmath arithmetic.
-
-    The same-anchor pair average at decay rate t is this average at 2t.
-    """
-    g = mp.sqrt(t)
-    return mp.sqrt(mp.pi / (16 * t)) * (mp.erf(g * (1 + a)) + mp.erf(g * (1 - a)))
-
-
-def _mp_gauss_pair(t, a, b):
-    """Gaussian two-anchor design average in mpmath arithmetic."""
-    return _mp_gauss_border(2 * t, (a + b) / 2) * mp.exp(-t * (a - b) ** 2 / 2)
+#: the Gaussian design averages of ``integrals`` in mpmath arithmetic
+_hp_gauss_border, _hp_gauss_pair = integrals._gauss_averages(mp.sqrt, mp.exp, mp.erf, mp.pi)
 
 
 def _fig_imspe_hp(design: np.ndarray) -> float:
@@ -89,13 +85,10 @@ def _fig_imspe_hp(design: np.ndarray) -> float:
         return mp.exp(-sum(t * (a - b) ** 2 for t, a, b in zip(theta, pts[i], pts[j])))
 
     def border(i):
-        return math.prod((_mp_gauss_border(t, a) for t, a in zip(theta, pts[i])), start=one)
+        return math.prod((_hp_gauss_border(a, t) for t, a in zip(theta, pts[i])), start=one)
 
     def inner(i, j):
-        if i == j:
-            terms = (_mp_gauss_border(2 * t, a) for t, a in zip(theta, pts[i]))
-        else:
-            terms = (_mp_gauss_pair(t, a, b) for t, a, b in zip(theta, pts[i], pts[j]))
+        terms = (_hp_gauss_pair(a, b, t) for t, a, b in zip(theta, pts[i], pts[j]))
         return math.prod(terms, start=one)
 
     with mp.workdps(_HP_DPS):
@@ -160,12 +153,10 @@ def _n1_derivative(kernel: Kernel, theta: float, x: float) -> float:
 
 
 def optimize_n1(kernel: Kernel, theta: float, *, tol_x: float = 1e-8) -> OptimumReport:
-    """Single-point optimal design on [-1, 1]."""
+    """Single-point optimal design on [-1, 1]; ``theta`` must equal ``kernel.theta[0]``."""
     from scipy.optimize import minimize_scalar
 
-    if kernel.d != 1:
-        raise ValidationError("single-point search requires d = 1")
-    theta = float(theta)
+    theta = _kernel_theta(kernel, theta, "single-point search")
     res = minimize_scalar(
         lambda x: _n1_objective(kernel, theta, x),
         bounds=(-1.0, 1.0),
@@ -239,73 +230,73 @@ def _hp_imspe_exp(theta, x1, x2):
 
 def _hp_imspe_gauss(theta, x1, x2):
     """Two-point Gaussian-family criterion in mpmath arithmetic: the explicit
-    bordered inverse of the float path, fed with the 40-digit averages."""
-    r01, r02 = _mp_gauss_border(theta, x1), _mp_gauss_border(theta, x2)
-    r11, r22 = _mp_gauss_border(2 * theta, x1), _mp_gauss_border(2 * theta, x2)
-    rho, r12 = mp.exp(-theta * (x1 - x2) ** 2), _mp_gauss_pair(theta, x1, x2)
+    bordered inverse of the float path, fed with the 40-digit averages (the
+    same-anchor pair average taken as the single-anchor one at 2*theta)."""
+    r01, r02 = _hp_gauss_border(x1, theta), _hp_gauss_border(x2, theta)
+    r11, r22 = _hp_gauss_border(x1, 2 * theta), _hp_gauss_border(x2, 2 * theta)
+    rho, r12 = mp.exp(-theta * (x1 - x2) ** 2), _hp_gauss_pair(x1, x2, theta)
     return _n2_bordered_form(rho, r01, r02, r11, r22, r12, mp.mpf(1))
 
 
-def _hp_refine_n2(family: Family, theta: float, seeds, tol_x: float):
-    """Nelder-Mead on the rescaled extended-precision residual.
+def _penalised(f: Callable[[float, float], float]) -> Callable[[Sequence[float]], float]:
+    """Two-point search objective of a pair (x1, x2): ``f(x1, x2)`` inside the
+    box, else ``_PENALTY_BASE`` plus the box overshoot; ``_PENALTY_BASE`` at
+    x1 == x2 and where ``f`` refuses the pair."""
 
-    ``seeds`` are double-precision starting pairs; returns the best (x1, x2)
-    and a scaled-residual objective for diagnostics.
-    """
+    def objective(pt):
+        x1, x2 = float(pt[0]), float(pt[1])
+        overshoot = max(0.0, abs(x1) - 1.0) + max(0.0, abs(x2) - 1.0)
+        if overshoot > 0.0:
+            return _PENALTY_BASE + overshoot
+        if x1 == x2:
+            return _PENALTY_BASE
+        try:
+            return f(x1, x2)
+        except (NearSingularError, SolveError):
+            return _PENALTY_BASE
+
+    return objective
+
+
+def _multistart(objective, starts, tol_x: float, fatol: float, maxfev: int):
+    """Best (x1, x2) and value of Nelder-Mead runs from each start, in order;
+    (None, inf) if no run returned a value below infinity."""
     from scipy.optimize import minimize
 
+    best_pt, best_val = None, math.inf
+    for start in starts:
+        res = minimize(
+            objective,
+            np.asarray(start, dtype=float),
+            method="Nelder-Mead",
+            options={"xatol": tol_x, "fatol": fatol, "maxiter": maxfev, "maxfev": maxfev},
+        )
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_pt = (float(res.x[0]), float(res.x[1]))
+    return best_pt, best_val
+
+
+def _hp_refine_n2(family: Family, theta: float, seeds, tol_x: float):
+    """Multistart on the extended-precision criterion, rescaled so that the
+    ``seeds`` (double-precision starting pairs) span [0, 1].
+
+    Returns the best (x1, x2) with the gradient norm and Hessian eigenvalues
+    of the rescaled objective there.
+    """
     hp_f = _hp_imspe_exp if family is Family.EXP_P1 else _hp_imspe_gauss
-
-    def hp_value(pt):
-        x1, x2 = mp.mpf(float(pt[0])), mp.mpf(float(pt[1]))
-        return hp_f(mp.mpf(theta), x1, x2)
-
     with mp.workdps(_HP_DPS):
-        base_vals = [hp_value(s) for s in seeds]
+        t = mp.mpf(theta)
+        value = lambda a, b: hp_f(t, mp.mpf(a), mp.mpf(b))
+        base_vals = [value(a, b) for a, b in seeds]
         low = min(base_vals)
         spread = max(base_vals) - low
         if spread <= 0:
             spread = mp.mpf("1e-30")
-
-        def objective(pt):
-            x1, x2 = float(pt[0]), float(pt[1])
-            overshoot = max(0.0, abs(x1) - 1.0) + max(0.0, abs(x2) - 1.0)
-            if overshoot > 0.0:
-                return _PENALTY_BASE + overshoot
-            if x1 == x2:
-                return _PENALTY_BASE
-            return float((hp_value((x1, x2)) - low) / spread)
-
-        best_pt, best_val = None, math.inf
-        for seed in seeds:
-            res = minimize(
-                objective,
-                np.asarray(seed, dtype=float),
-                method="Nelder-Mead",
-                options={"xatol": tol_x, "fatol": 1e-24, "maxiter": 2000, "maxfev": 2000},
-            )
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best_pt = (float(res.x[0]), float(res.x[1]))
-
-        def scaled(a, b):
-            return objective((a, b))
-
-        g, eigs = _fd_diagnostics(scaled, best_pt[0], best_pt[1])
+        objective = _penalised(lambda a, b: float((value(a, b) - low) / spread))
+        best_pt, _ = _multistart(objective, seeds, tol_x, 1e-24, 2000)
+        g, eigs = _fd_diagnostics(lambda a, b: objective((a, b)), *best_pt)
     return best_pt, g, eigs
-
-
-def _n2_objective(kernel: Kernel, theta: float, pt) -> float:
-    x1, x2 = float(pt[0]), float(pt[1])
-    overshoot = max(0.0, abs(x1) - 1.0) + max(0.0, abs(x2) - 1.0)
-    if overshoot > 0.0:
-        return _PENALTY_BASE + overshoot
-    if x1 == x2:
-        return _PENALTY_BASE
-    try:
-        return imspe_n2(kernel, theta, x1, x2)
-    except (NearSingularError, SolveError):
-        return _PENALTY_BASE
 
 
 def _fd_diagnostics(
@@ -339,41 +330,26 @@ def optimize_n2(
 
     ``constraint='symmetric_pair'`` restricts to x2 = -x1 and searches the
     scalar half-separation; the default searches both coordinates by
-    Nelder-Mead from the deterministic multistart lattice.
+    Nelder-Mead from the deterministic multistart lattice.  ``theta`` must
+    equal ``kernel.theta[0]``.
     """
-    from scipy.optimize import minimize, minimize_scalar
+    from scipy.optimize import minimize_scalar
 
-    if kernel.d != 1:
-        raise ValidationError("two-point search requires d = 1")
-    theta = float(theta)
+    theta = _kernel_theta(kernel, theta, "two-point search")
+    # imspe_n2 is looked up when called, so a wrapper around this module's
+    # name sees every evaluation
+    objective = _penalised(lambda x1, x2: imspe_n2(kernel, theta, x1, x2))
     if constraint == "symmetric_pair":
         res = minimize_scalar(
-            lambda a: _n2_objective(kernel, theta, (a, -a)),
+            lambda a: objective((a, -a)),
             bounds=(1e-6, 1.0),
             method="bounded",
             options={"xatol": tol_x},
         )
         a = float(res.x)
-        best_pt, best_val = (a, -a), _n2_objective(kernel, theta, (a, -a))
-        success = bool(res.success)
+        best_pt, best_val = (a, -a), objective((a, -a))
     elif constraint is None:
-        best_pt, best_val, success = None, math.inf, False
-        for start in MULTISTART_PAIRS:
-            res = minimize(
-                lambda p: _n2_objective(kernel, theta, p),
-                np.asarray(start, dtype=float),
-                method="Nelder-Mead",
-                options={
-                    "xatol": tol_x,
-                    "fatol": 1e-14,
-                    "maxiter": 4000,
-                    "maxfev": 4000,
-                },
-            )
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best_pt = (float(res.x[0]), float(res.x[1]))
-                success = True
+        best_pt, best_val = _multistart(objective, MULTISTART_PAIRS, tol_x, 1e-14, 4000)
     else:
         raise ValidationError(f"unknown constraint: {constraint!r}")
     if best_pt is None or best_val >= _PENALTY_BASE:
@@ -393,17 +369,13 @@ def optimize_n2(
             (0.4, -0.4),
             (0.5, -0.5),
         ]
-        best_pt, grad_norm, eigs = _hp_refine_n2(kernel.family, theta, seeds, tol_x)
-        x1, x2 = best_pt
+        (x1, x2), grad_norm, eigs = _hp_refine_n2(kernel.family, theta, seeds, tol_x)
         if constraint == "symmetric_pair":
             half = 0.5 * (x1 - x2)
             x1, x2 = half, -half
-        best_val = _n2_objective(kernel, theta, (x1, x2))
-        success = True
+        best_val = objective((x1, x2))
     else:
-        grad_norm, eigs = _fd_diagnostics(
-            lambda a, b: _n2_objective(kernel, theta, (a, b)), x1, x2
-        )
+        grad_norm, eigs = _fd_diagnostics(lambda a, b: objective((a, b)), x1, x2)
     return OptimumReport(
         design=((x1,), (x2,)),
         imspe_value=best_val,
@@ -422,8 +394,9 @@ def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
 
 
 def _sweep_point(args) -> OptimumReport:
-    kernel, n, theta, constraint = args
+    family, n, theta, constraint = args
     try:
+        kernel = Kernel(family, (theta,))
         if n == 1:
             return optimize_n1(kernel, theta)
         return optimize_n2(kernel, theta, constraint=constraint)
@@ -441,13 +414,16 @@ def sweep_theta(
 ) -> list[OptimumReport]:
     """Per-theta optimal designs over a hyperparameter grid.
 
-    Failures at individual grid points yield non-converged NaN reports
-    rather than aborting the sweep.  Results are in grid order regardless of
-    ``parallel``.
+    Each grid value is the decay rate of a kernel of ``kernel``'s family;
+    ``kernel.theta`` itself is not used.  Failures at individual grid points
+    yield non-converged NaN reports rather than aborting the sweep.  Results
+    are in grid order regardless of ``parallel``.
     """
     if n not in (1, 2):
         raise ValidationError("sweeps support n in {1, 2}")
-    tasks = [(kernel, n, float(t), constraint) for t in theta_grid]
+    if kernel.d != 1:
+        raise ValidationError("sweeps support d = 1")
+    tasks = [(kernel.family, n, float(t), constraint) for t in theta_grid]
     if parallel <= 1:
         return [_sweep_point(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=parallel) as pool:

@@ -257,6 +257,22 @@ def test_sweep_format_and_envelope(capsys):
         assert float(x1) == pytest.approx(-float(x2), abs=1e-5)
 
 
+def test_sweep_output_does_not_depend_on_kernel_theta(capsys):
+    outs = [
+        run_cli(
+            capsys,
+            "sweep",
+            "--kernel", "matern-5-2",
+            "--theta", theta,
+            "--n", "2",
+            "--theta-grid", "0.5:2:2",
+        )
+        for theta in ("1", "5")
+    ]
+    assert outs[0][0] == EXIT_OK
+    assert outs[0] == outs[1]
+
+
 def test_float_formatting_round_trips(capsys):
     _, out, _ = run_cli(
         capsys, "eval", "--kernel", "exp-p1", "--theta", "1", "--points", "0.123456789"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,13 +16,22 @@ from imspe_kit import (
     fig_design,
     fig_imspe,
     fig_kernel,
+    imspe_closed_n1,
+    imspe_n2,
     log_grid,
     optimize_n1,
     optimize_n2,
     scan_surface,
     sweep_theta,
 )
-from imspe_kit.optimize import FIG_FIXED, FIG_THETA, OptimumReport
+from imspe_kit.optimize import (
+    _HP_DPS,
+    FIG_FIXED,
+    FIG_THETA,
+    OptimumReport,
+    _hp_imspe_exp,
+    _hp_imspe_gauss,
+)
 
 ALL_FAMILIES = list(Family)
 
@@ -89,6 +99,72 @@ def test_n2_beats_coincident_pair():
     from imspe_kit import imspe_gauss_cluster
 
     assert rep.imspe_value < imspe_gauss_cluster(1.0, 0.0, 0.0)
+
+
+def _two_point_reference(family, theta, x1, x2):
+    """50-digit criterion: R entries by mpmath.quad split at the anchors, and
+    1 - tr(L^-1 R) with a 50-digit inverse of L."""
+    with mp.workdps(50):
+        t, a, b = mp.mpf(theta), mp.mpf(x1), mp.mpf(x2)
+        if family is Family.EXP_P1:
+            corr = lambda u, v: mp.exp(-t * abs(u - v))
+        else:
+            corr = lambda u, v: mp.exp(-t * (u - v) ** 2)
+        nodes = [-1, min(a, b), max(a, b), 1]
+        avg = lambda f: mp.quad(f, nodes) / 2
+        r01, r02 = avg(lambda x: corr(a, x)), avg(lambda x: corr(b, x))
+        r11, r22 = avg(lambda x: corr(a, x) ** 2), avg(lambda x: corr(b, x) ** 2)
+        r12 = avg(lambda x: corr(a, x) * corr(b, x))
+        rho = corr(a, b)
+        big_l = mp.matrix([[0, 1, 1], [1, 1, rho], [1, rho, 1]])
+        big_r = mp.matrix([[1, r01, r02], [r01, r11, r12], [r02, r12, r22]])
+        s = mp.inverse(big_l) * big_r
+        return 1 - (s[0, 0] + s[1, 1] + s[2, 2]), rho
+
+
+#: refined optima returned by optimize_n2 at theta = 15, 30, 100
+_HP_OPTIMA = {
+    Family.EXP_P1: (
+        (0.40588457401609673, -0.40588457401635636),
+        (0.37715656844395273, -0.37715656844407075),
+        (0.3504347388029875, -0.3504346532806637),
+    ),
+    Family.GAUSS_P2: (
+        (0.4485867013974073, -0.44858670139725826),
+        (0.43512435633840085, -0.43512435633857505),
+        (0.42253307893602865, -0.4225330790479809),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", [Family.EXP_P1, Family.GAUSS_P2])
+def test_40_digit_two_point_criterion_matches_50_digit_quadrature(family):
+    hp_f = _hp_imspe_exp if family is Family.EXP_P1 else _hp_imspe_gauss
+    for theta, optimum in zip((15.0, 30.0, 100.0), _HP_OPTIMA[family]):
+        for x1, x2 in (optimum, (0.3, 0.3 + 1e-9)):
+            with mp.workdps(_HP_DPS):
+                value = hp_f(mp.mpf(theta), mp.mpf(x1), mp.mpf(x2))
+            ref, rho = _two_point_reference(family, theta, x1, x2)
+            # 40 digits lose about log10(cond(L)) of them, cond ~ 1/(1 - rho)
+            assert abs(value - ref) <= mp.mpf("1e-38") / (1 - rho), (family, theta, x1, x2)
+
+
+def test_theta_must_match_kernel():
+    for family in (Family.EXP_P1, Family.GAUSS_P2):
+        kernel = Kernel(family, (2.0,))
+        for call in (
+            lambda: imspe_closed_n1(kernel, 3.0, 0.1),
+            lambda: imspe_n2(kernel, 3.0, 0.1, -0.2),
+            lambda: optimize_n1(kernel, 3.0),
+            lambda: optimize_n2(kernel, 3.0),
+        ):
+            with pytest.raises(ValidationError, match="kernel.theta"):
+                call()
+    # a sweep takes each decay rate from its grid, whatever the kernel's own
+    grid = [0.5, 4.0]
+    for n, search in ((1, optimize_n1), (2, optimize_n2)):
+        reports = sweep_theta(Kernel(Family.MATERN32, (7.0,)), n, grid)
+        assert reports == [search(Kernel(Family.MATERN32, (t,)), t) for t in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,8 @@ def cmd_sweep(args) -> int:
     if kernel.d != 1:
         raise ValidationError("sweep supports d = 1")
     grid = _parse_theta_grid(args.theta_grid)
+    if grid[0] <= 0.0:
+        raise ValidationError(f"decay rates must be positive: {args.theta_grid!r}")
     reports = sweep_theta(kernel, args.n, grid, parallel=args.parallel)
     lines = [SWEEP_HEADER, "theta,x1,x2,imspe,converged"]
     xs = []

@@ -9,7 +9,9 @@ variance normalized to 1).
 One-dimensional closed forms (n = 1 and n = 2 for every family: at n = 2 the
 six-term exponential form, or else the explicit bordered inverse) sit beside
 the general solve path, with the affine domain rescaling that keeps the
-criterion invariant.
+criterion invariant.  The two-point criterion is also written as a
+theta-only constant plus a residual of positive terms, which the design
+search minimises.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import erfc
 
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
@@ -26,34 +29,6 @@ from .kernels import Family, Kernel, check_point, corr1, corr_pair
 
 #: condition-number ceiling of L beyond which the solve path and the n = 2 form refuse
 COND_LIMIT = 1e13
-
-
-def trace_of_product_sym(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(A B) for symmetric A, B as the sum of elementwise products."""
-    return float(np.sum(a * b))
-
-
-def inverse_sym_3x3(m: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of a symmetric 3x3 matrix.
-
-    Used as a cross-check against the general solve path on two-point
-    designs; not a production path.
-    """
-    m = np.asarray(m, dtype=float)
-    a, b, c = m[0, 0], m[0, 1], m[0, 2]
-    d, e = m[1, 1], m[1, 2]
-    f = m[2, 2]
-    det = a * d * f - a * e * e - b * b * f + 2.0 * b * c * e - c * c * d
-    if det == 0.0 or not math.isfinite(det):
-        raise SolveError(f"3x3 determinant {det} is singular")
-    adj = np.array(
-        [
-            [d * f - e * e, c * e - b * f, b * e - c * d],
-            [c * e - b * f, a * f - c * c, b * c - a * e],
-            [b * e - c * d, b * c - a * e, a * d - b * b],
-        ]
-    )
-    return adj / det
 
 
 @dataclass(frozen=True)
@@ -175,32 +150,24 @@ def imspe_closed_n1(kernel: Kernel, theta: float, x1: float) -> float:
     return 2.0 * (1.0 - integrals.border_1d(kernel.family, x1, theta))
 
 
-def _fold_cosh(exp, one, half, t, x):
+def _fold_cosh(t, x):
     """e^{-t} * cosh(t x) for |x| <= 1, via decaying exponentials only."""
-    return half * (exp(-t * (one - x)) + exp(-t * (one + x)))
+    return 0.5 * (math.exp(-t * (1.0 - x)) + math.exp(-t * (1.0 + x)))
 
 
-def _n2_exp_form(theta, x1, x2, exp, one):
-    """Six-term two-point exponential criterion in the arithmetic of ``exp``.
-
-    ``exp`` and ``one`` are ``math.exp`` and 1.0 for double precision, or an
-    mpmath exponential and ``mp.mpf(1)`` for extended precision.  Every
-    constant is built from ``one`` because operations that mix number types
-    are slow in both arithmetics.
-    """
-    two = one + one
-    half = one / two
+def _n2_exp_form(theta, x1, x2):
+    """Six-term two-point exponential criterion."""
     s = abs(x1 - x2)
-    e_s = exp(-theta * s)
-    theta2 = two * theta
-    den = theta2 * (one - e_s)
-    a1 = (one - _fold_cosh(exp, one, half, theta, x1)) / theta
-    a2 = (one - _fold_cosh(exp, one, half, theta, x2)) / theta
-    b1 = (one - _fold_cosh(exp, one, half, theta2, x1)) / (two * den)
-    b2 = (one - _fold_cosh(exp, one, half, theta2, x2)) / (two * den)
-    cross = half * (exp(-theta * (two - (x1 + x2))) + exp(-theta * (two + x1 + x2)))
+    e_s = math.exp(-theta * s)
+    theta2 = 2.0 * theta
+    den = theta2 * (1.0 - e_s)
+    a1 = (1.0 - _fold_cosh(theta, x1)) / theta
+    a2 = (1.0 - _fold_cosh(theta, x2)) / theta
+    b1 = (1.0 - _fold_cosh(theta2, x1)) / (2.0 * den)
+    b2 = (1.0 - _fold_cosh(theta2, x2)) / (2.0 * den)
+    cross = 0.5 * (math.exp(-theta * (2.0 - (x1 + x2))) + math.exp(-theta * (2.0 + x1 + x2)))
     c = (e_s - cross + theta * s * e_s) / den
-    return half * (one + two + e_s) + c - a1 - a2 - b1 - b2
+    return 0.5 * (3.0 + e_s) + c - a1 - a2 - b1 - b2
 
 
 def _check_pair(x1: float, x2: float) -> tuple[float, float]:
@@ -223,14 +190,13 @@ def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
     """
     theta = integrals._check_theta(theta)
     x1, x2 = _check_pair(x1, x2)
-    return _n2_exp_form(theta, x1, x2, math.exp, 1.0)
+    return _n2_exp_form(theta, x1, x2)
 
 
-def _n2_bordered_form(rho, r01, r02, r11, r22, r12, one):
+def _n2_bordered_form(rho, r01, r02, r11, r22, r12):
     """Two-point criterion from the explicit inverse of L = [[0,1,1],[1,1,rho],[1,rho,1]]
-    and R's border ``r0i`` and body ``rij``, in the arithmetic of ``one`` (1.0 or mpf)."""
-    two = one + one
-    return one + (one + rho) / two - r01 - r02 - (r11 + r22 - two * r12) / (two * (one - rho))
+    and R's border ``r0i`` and body ``rij``."""
+    return 1.0 + (1.0 + rho) / 2.0 - r01 - r02 - (r11 + r22 - 2.0 * r12) / (2.0 * (1.0 - rho))
 
 
 def _cond_n2(rho: float) -> float:
@@ -241,20 +207,71 @@ def _cond_n2(rho: float) -> float:
     return lam / (1.0 - rho) if rho < 1.0 else math.inf
 
 
+def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:
+    """``imspe_n2`` of a checked pair at a checked decay rate."""
+    if family is Family.EXP_P1:
+        return _n2_exp_form(theta, x1, x2)
+    rho = corr1(family, theta, x1 - x2)
+    cond = _check_cond(_cond_n2(rho))
+    border, inner = integrals._BORDER[family], integrals._INNER[family]
+    r01, r02, r12 = border(x1, theta), border(x2, theta), inner(x1, x2, theta)
+    value = _n2_bordered_form(rho, r01, r02, inner(x1, x1, theta), inner(x2, x2, theta), r12)
+    return _check_value(float(value), cond)
+
+
 def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
     """Two-point, one-dimensional criterion in closed form for every family: the
     six-term exponential form, or the explicit bordered inverse guarded by the
     solve path's ceiling on the exact condition number of L.  ``theta`` must
     equal ``kernel.theta[0]``."""
     theta = _kernel_theta(kernel, theta, "two-point form")
+    return _n2_closed(kernel.family, theta, *_check_pair(x1, x2))
+
+
+def _n2_residual(family: Family, theta: float, x1: float, x2: float) -> float:
+    """``imspe_n2`` minus its theta-only part C(theta), as a sum of positive terms.
+
+    The criterion is a theta-only constant plus terms that decay like e^(-theta)
+    and its powers, so at large theta the raw value rounds to C in double
+    precision while this residual keeps its relative accuracy.  With
+    s = |x1 - x2| and m = (x1 + x2)/2:
+
+    * exponential family: C = 3/2 - 5/(2 theta); the residual is
+      e^(-theta s)/2 + (f1 + f2)/theta + (g1 + g2)/(2 den)
+      + (theta s e^(-theta s) - g(m))/den, with f, g the folded e^(-t) cosh(t x)
+      at t = theta, 2 theta and den = 2 theta (1 - e^(-theta s));
+    * Gaussian family: C = 3/2 - 4 s1 - 2 s2 with s1 = sqrt(pi/(16 theta)),
+      s2 = sqrt(pi/(32 theta)); the residual is d^2/2 + 2 s2 d/(1 + d)
+      + s1 (E(x1) + E(x2)) + s2 (F(x1) + F(x2) - 2 d F(m)) / (2 (1 - d^2)), with
+      d = e^(-theta s^2 / 2), E(a) = erfc(sqrt(theta)(1 + a)) + erfc(sqrt(theta)(1 - a))
+      and F the same sum at 2 theta;
+    * Matern families: C = 0 and the residual is ``imspe_n2`` itself.
+
+    Refuses exactly the pairs ``imspe_n2`` refuses.
+    """
     x1, x2 = _check_pair(x1, x2)
-    if kernel.family is Family.EXP_P1:
-        return _n2_exp_form(theta, x1, x2, math.exp, 1.0)
-    rho = corr1(kernel.family, theta, x1 - x2)
-    cond = _check_cond(_cond_n2(rho))
-    border, inner = integrals._BORDER[kernel.family], integrals._INNER[kernel.family]
-    r01, r02, r12 = border(x1, theta), border(x2, theta), inner(x1, x2, theta)
-    value = _n2_bordered_form(rho, r01, r02, inner(x1, x1, theta), inner(x2, x2, theta), r12, 1.0)
+    s, m = abs(x1 - x2), 0.5 * (x1 + x2)
+    if family is Family.EXP_P1:
+        den = -2.0 * theta * math.expm1(-theta * s)
+        e_s = math.exp(-theta * s)
+        f = _fold_cosh(theta, x1) + _fold_cosh(theta, x2)
+        g = _fold_cosh(2.0 * theta, x1) + _fold_cosh(2.0 * theta, x2)
+        cross = _fold_cosh(2.0 * theta, m)
+        return 0.5 * e_s + f / theta + g / (2.0 * den) + (theta * s * e_s - cross) / den
+    if family is not Family.GAUSS_P2:
+        return _n2_closed(family, theta, x1, x2)
+    cond = _check_cond(_cond_n2(corr1(family, theta, s)))
+    g1, g2 = math.sqrt(theta), math.sqrt(2.0 * theta)
+    s1, s2 = math.sqrt(math.pi / (16.0 * theta)), math.sqrt(math.pi / (32.0 * theta))
+    e_sum = lambda a: erfc(g1 * (1.0 + a)) + erfc(g1 * (1.0 - a))
+    f_sum = lambda a: erfc(g2 * (1.0 + a)) + erfc(g2 * (1.0 - a))
+    d = math.exp(-0.5 * theta * s * s)
+    value = (
+        0.5 * d * d
+        + 2.0 * s2 * d / (1.0 + d)
+        + s1 * (e_sum(x1) + e_sum(x2))
+        + s2 * (f_sum(x1) + f_sum(x2) - 2.0 * d * f_sum(m)) / (-2.0 * math.expm1(-theta * s * s))
+    )
     return _check_value(float(value), cond)
 
 

@@ -8,14 +8,13 @@ sign arbitrarily close to the root, so the polished optimum is centered to
 far better than the flat-region width.
 
 Two-point optima use deterministic-multistart Nelder-Mead (no randomness
-anywhere, so repeated runs and parallel runs are bit-identical).  For the
-exponential and Gaussian families at decay rates of at least
-``HP_THRESHOLD`` the criterion is flat to double precision near the optimum,
-so the same multistart and penalised objective are run again on the 40-digit
-criterion, whose Gaussian averages are the float formulas of ``integrals``
-evaluated in mpmath arithmetic.  Scans and
-theta-sweeps are embarrassingly parallel; results are assembled in index
-order so output is independent of the worker count.
+anywhere, so repeated runs and parallel runs are bit-identical) on the
+criterion minus its theta-only constant, ``imspe._n2_residual``.  At large
+decay rates the criterion itself rounds to that constant across a wide basin
+in double precision, while the residual keeps its relative accuracy, so one
+double-precision search serves every decay rate.  Scans and theta-sweeps are
+embarrassingly parallel; results are assembled in index order so output is
+independent of the worker count.
 
 ``scipy.optimize`` is imported by the search functions themselves, so code
 that only evaluates or scans designs never loads it.
@@ -33,12 +32,9 @@ import numpy as np
 
 from . import integrals
 from .errors import ImspeKitError, NearSingularError, SolveError, ValidationError
-from .imspe import _fill_bordered, _kernel_theta, _n2_bordered_form, _n2_exp_form
+from .imspe import _fill_bordered, _kernel_theta, _n2_residual
 from .imspe import build_matrices, imspe_closed_n1, imspe_n2
 from .kernels import Family, Kernel, corr1
-
-#: objective value assigned to out-of-domain or degenerate trial points
-_PENALTY_BASE = 10.0
 
 #: deterministic multistart lattice for the two-point search (ordered pairs
 #: x1 > x2 from {+-0.8, +-0.5, +-0.2})
@@ -62,6 +58,9 @@ def fig_design(t: Sequence[float]) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     return np.array([FIG_FIXED[0], FIG_FIXED[1], tuple(t), tuple(-t)])
 
+
+#: working precision (decimal digits) of the scenario's extended-precision solve
+_HP_DPS = 40
 
 #: the Gaussian design averages of ``integrals`` in mpmath arithmetic
 _hp_gauss_border, _hp_gauss_pair = integrals._gauss_averages(mp.sqrt, mp.exp, mp.erf, mp.pi)
@@ -141,12 +140,6 @@ def _failed_report(n: int) -> OptimumReport:
     )
 
 
-def _n1_objective(kernel: Kernel, theta: float, x: float) -> float:
-    if abs(x) > 1.0:
-        return _PENALTY_BASE + (abs(x) - 1.0)
-    return imspe_closed_n1(kernel, theta, x)
-
-
 def _n1_derivative(kernel: Kernel, theta: float, x: float) -> float:
     """d/dx of the single-point criterion: rho(1-x) - rho(1+x)."""
     return corr1(kernel.family, theta, 1.0 - x) - corr1(kernel.family, theta, 1.0 + x)
@@ -158,7 +151,7 @@ def optimize_n1(kernel: Kernel, theta: float, *, tol_x: float = 1e-8) -> Optimum
 
     theta = _kernel_theta(kernel, theta, "single-point search")
     res = minimize_scalar(
-        lambda x: _n1_objective(kernel, theta, x),
+        lambda x: imspe_closed_n1(kernel, theta, x),
         bounds=(-1.0, 1.0),
         method="bounded",
         options={"xatol": tol_x},
@@ -208,59 +201,26 @@ def optimize_n1(kernel: Kernel, theta: float, *, tol_x: float = 1e-8) -> Optimum
     )
 
 
-# -- high-precision two-point objectives ------------------------------------
-#
-# At large decay rates the two-point criterion is flat across a wide basin at
-# double precision (the coordinate-dependent terms underflow relative to the
-# O(1) constant part), so the minimizer is not recoverable from the 64-bit
-# objective.  For the two families whose closed forms are cheap to evaluate
-# at extended precision, the search is refined on a rescaled 40-digit
-# residual, which restores the lost structure.
-
-#: above this decay rate, exponential/Gaussian two-point searches are refined
-#: at extended precision
-HP_THRESHOLD = 15.0
-_HP_DPS = 40
-
-
-def _hp_imspe_exp(theta, x1, x2):
-    """Two-point exponential-family criterion in mpmath arithmetic."""
-    return _n2_exp_form(theta, x1, x2, mp.exp, mp.mpf(1))
-
-
-def _hp_imspe_gauss(theta, x1, x2):
-    """Two-point Gaussian-family criterion in mpmath arithmetic: the explicit
-    bordered inverse of the float path, fed with the 40-digit averages (the
-    same-anchor pair average taken as the single-anchor one at 2*theta)."""
-    r01, r02 = _hp_gauss_border(x1, theta), _hp_gauss_border(x2, theta)
-    r11, r22 = _hp_gauss_border(x1, 2 * theta), _hp_gauss_border(x2, 2 * theta)
-    rho, r12 = mp.exp(-theta * (x1 - x2) ** 2), _hp_gauss_pair(x1, x2, theta)
-    return _n2_bordered_form(rho, r01, r02, r11, r22, r12, mp.mpf(1))
-
-
-def _penalised(f: Callable[[float, float], float]) -> Callable[[Sequence[float]], float]:
-    """Two-point search objective of a pair (x1, x2): ``f(x1, x2)`` inside the
-    box, else ``_PENALTY_BASE`` plus the box overshoot; ``_PENALTY_BASE`` at
-    x1 == x2 and where ``f`` refuses the pair."""
+def _pair_objective(family: Family, theta: float) -> Callable[[Sequence[float]], float]:
+    """Two-point search objective of a pair (x1, x2): the criterion residual
+    ``_n2_residual`` inside the box, ``math.inf`` outside it and where the
+    residual refuses the pair (coincident or ill-conditioned)."""
 
     def objective(pt):
         x1, x2 = float(pt[0]), float(pt[1])
-        overshoot = max(0.0, abs(x1) - 1.0) + max(0.0, abs(x2) - 1.0)
-        if overshoot > 0.0:
-            return _PENALTY_BASE + overshoot
-        if x1 == x2:
-            return _PENALTY_BASE
+        if abs(x1) > 1.0 or abs(x2) > 1.0:
+            return math.inf
         try:
-            return f(x1, x2)
+            return _n2_residual(family, theta, x1, x2)
         except (NearSingularError, SolveError):
-            return _PENALTY_BASE
+            return math.inf
 
     return objective
 
 
-def _multistart(objective, starts, tol_x: float, fatol: float, maxfev: int):
-    """Best (x1, x2) and value of Nelder-Mead runs from each start, in order;
-    (None, inf) if no run returned a value below infinity."""
+def _multistart(objective, starts, tol_x: float):
+    """Best (x1, x2) of Nelder-Mead runs from each start, in order; None if no
+    run returned a value below infinity."""
     from scipy.optimize import minimize
 
     best_pt, best_val = None, math.inf
@@ -269,40 +229,20 @@ def _multistart(objective, starts, tol_x: float, fatol: float, maxfev: int):
             objective,
             np.asarray(start, dtype=float),
             method="Nelder-Mead",
-            options={"xatol": tol_x, "fatol": fatol, "maxiter": maxfev, "maxfev": maxfev},
+            options={"xatol": tol_x, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
         )
         if res.fun < best_val:
             best_val = float(res.fun)
             best_pt = (float(res.x[0]), float(res.x[1]))
-    return best_pt, best_val
-
-
-def _hp_refine_n2(family: Family, theta: float, seeds, tol_x: float):
-    """Multistart on the extended-precision criterion, rescaled so that the
-    ``seeds`` (double-precision starting pairs) span [0, 1].
-
-    Returns the best (x1, x2) with the gradient norm and Hessian eigenvalues
-    of the rescaled objective there.
-    """
-    hp_f = _hp_imspe_exp if family is Family.EXP_P1 else _hp_imspe_gauss
-    with mp.workdps(_HP_DPS):
-        t = mp.mpf(theta)
-        value = lambda a, b: hp_f(t, mp.mpf(a), mp.mpf(b))
-        base_vals = [value(a, b) for a, b in seeds]
-        low = min(base_vals)
-        spread = max(base_vals) - low
-        if spread <= 0:
-            spread = mp.mpf("1e-30")
-        objective = _penalised(lambda a, b: float((value(a, b) - low) / spread))
-        best_pt, _ = _multistart(objective, seeds, tol_x, 1e-24, 2000)
-        g, eigs = _fd_diagnostics(lambda a, b: objective((a, b)), *best_pt)
-    return best_pt, g, eigs
+    return best_pt
 
 
 def _fd_diagnostics(
     f: Callable[[float, float], float], x1: float, x2: float
-) -> tuple[float, tuple[float, float]]:
-    """Central-difference gradient norm and Hessian eigenvalues of a 2-d map."""
+) -> tuple[float, tuple[float, float], float]:
+    """Central-difference gradient norm and Hessian eigenvalues of a 2-d map,
+    and the round-off level of those second differences: a curvature below it
+    is noise."""
     h = 1e-6
     g1 = (f(x1 + h, x2) - f(x1 - h, x2)) / (2.0 * h)
     g2 = (f(x1, x2 + h) - f(x1, x2 - h)) / (2.0 * h)
@@ -313,10 +253,14 @@ def _fd_diagnostics(
     h12 = (
         f(x1 + hh, x2 + hh) - f(x1 + hh, x2 - hh) - f(x1 - hh, x2 + hh) + f(x1 - hh, x2 - hh)
     ) / (4.0 * hh ** 2)
+    # scaling by a power of two is exact and keeps the squares below from
+    # underflowing at the tiny curvatures of large decay rates
+    k = math.frexp(max(abs(h11), abs(h22), abs(h12)))[1]
+    h11, h22, h12 = (math.ldexp(v, -k) for v in (h11, h22, h12))
     tr = h11 + h22
     disc = math.sqrt(max(0.0, (h11 - h22) ** 2 + 4.0 * h12 ** 2))
-    eigs = ((tr - disc) / 2.0, (tr + disc) / 2.0)
-    return math.hypot(g1, g2), eigs
+    eigs = (math.ldexp((tr - disc) / 2.0, k), math.ldexp((tr + disc) / 2.0, k))
+    return math.hypot(g1, g2), eigs, 4.0 * math.ulp(f00) / hh ** 2
 
 
 def optimize_n2(
@@ -330,15 +274,24 @@ def optimize_n2(
 
     ``constraint='symmetric_pair'`` restricts to x2 = -x1 and searches the
     scalar half-separation; the default searches both coordinates by
-    Nelder-Mead from the deterministic multistart lattice.  ``theta`` must
-    equal ``kernel.theta[0]``.
+    Nelder-Mead from the deterministic multistart lattice.  Both minimise
+    ``_n2_residual``; the report carries ``imspe_n2`` at the optimum and the
+    gradient and Hessian eigenvalues of the residual there, and is
+    ``converged`` only if the gradient is small and both eigenvalues exceed
+    the round-off level of their finite differences.  ``theta`` must equal
+    ``kernel.theta[0]``.
+
+    Converged reports were checked against a high-precision grid (value at
+    or below every symmetric grid pair, x1 within 1e-4 of the true optimum)
+    up to theta = 1100 for the exponential family, 2000 for the Gaussian and
+    400 for the Matern families.  Beyond those the residual has no
+    curvature left in double precision, and on a scan of theta up to 1e4
+    every report there said ``converged=False``.
     """
     from scipy.optimize import minimize_scalar
 
     theta = _kernel_theta(kernel, theta, "two-point search")
-    # imspe_n2 is looked up when called, so a wrapper around this module's
-    # name sees every evaluation
-    objective = _penalised(lambda x1, x2: imspe_n2(kernel, theta, x1, x2))
+    objective = _pair_objective(kernel.family, theta)
     if constraint == "symmetric_pair":
         res = minimize_scalar(
             lambda a: objective((a, -a)),
@@ -347,39 +300,20 @@ def optimize_n2(
             options={"xatol": tol_x},
         )
         a = float(res.x)
-        best_pt, best_val = (a, -a), objective((a, -a))
+        best_pt = (a, -a) if objective((a, -a)) < math.inf else None
     elif constraint is None:
-        best_pt, best_val = _multistart(objective, MULTISTART_PAIRS, tol_x, 1e-14, 4000)
+        best_pt = _multistart(objective, MULTISTART_PAIRS, tol_x)
     else:
         raise ValidationError(f"unknown constraint: {constraint!r}")
-    if best_pt is None or best_val >= _PENALTY_BASE:
+    if best_pt is None:
         return _failed_report(2)
     x1, x2 = best_pt
-    if (
-        kernel.family in (Family.EXP_P1, Family.GAUSS_P2)
-        and theta >= HP_THRESHOLD
-    ):
-        # refine on the extended-precision residual; the double-precision
-        # objective is flat across the basin at these decay rates
-        half = 0.5 * abs(x1 - x2)
-        seeds = [
-            (x1, x2),
-            (half, -half),
-            (0.3, -0.3),
-            (0.4, -0.4),
-            (0.5, -0.5),
-        ]
-        (x1, x2), grad_norm, eigs = _hp_refine_n2(kernel.family, theta, seeds, tol_x)
-        if constraint == "symmetric_pair":
-            half = 0.5 * (x1 - x2)
-            x1, x2 = half, -half
-        best_val = objective((x1, x2))
-    else:
-        grad_norm, eigs = _fd_diagnostics(lambda a, b: objective((a, b)), x1, x2)
+    value = imspe_n2(kernel, theta, x1, x2)
+    grad_norm, eigs, noise = _fd_diagnostics(lambda a, b: objective((a, b)), x1, x2)
     return OptimumReport(
         design=((x1,), (x2,)),
-        imspe_value=best_val,
-        converged=bool(math.isfinite(best_val) and grad_norm <= 1e-5),
+        imspe_value=value,
+        converged=bool(grad_norm <= 1e-5 and min(eigs) > noise),
         gradient_norm=grad_norm,
         second_order_check=eigs,
         boundary_distance=min(1.0 - abs(x1), 1.0 - abs(x2)),

@@ -5,7 +5,8 @@ on the raw correlation integrands, with forced subdivision at the anchor
 points where the exponential/Matern integrands kink.  No closed form from
 the rest of the package is reused, so agreement between the two paths is
 meaningful evidence; only the bookkeeping that fills a bordered matrix is
-shared with the fast path.
+shared with the fast path.  An adjugate inverse of the 3x3 bordered matrix
+gives a second route to the two-point solve.
 
 The oracle raises :class:`QuadratureError` instead of silently returning a
 low-quality estimate when the tolerance cannot be met.
@@ -13,11 +14,12 @@ low-quality estimate when the tolerance cannot be met.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, SolveError
 from .imspe import _fill_bordered
 from .kernels import Family, Kernel, corr1, corr_point
 
@@ -184,6 +186,38 @@ def mspe_grid_quad(kernel: Kernel, design, n_grid: int = 401) -> float:
             rvec[1 + i] = corr_point(kernel, tuple(design[i]), tuple(p))
         acc += w * (1.0 - float(rvec @ inv @ rvec))
     return acc / total_w
+
+
+# ---------------------------------------------------------------------------
+# adjugate route for the two-point bordered solve
+# ---------------------------------------------------------------------------
+
+def trace_of_product_sym(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(A B) for symmetric A, B as the sum of elementwise products."""
+    return float(np.sum(a * b))
+
+
+def inverse_sym_3x3(m: np.ndarray) -> np.ndarray:
+    """Adjugate inverse of a symmetric 3x3 matrix.
+
+    Used as a cross-check against the general solve path on two-point
+    designs; not a production path.
+    """
+    m = np.asarray(m, dtype=float)
+    a, b, c = m[0, 0], m[0, 1], m[0, 2]
+    d, e = m[1, 1], m[1, 2]
+    f = m[2, 2]
+    det = a * d * f - a * e * e - b * b * f + 2.0 * b * c * e - c * c * d
+    if det == 0.0 or not math.isfinite(det):
+        raise SolveError(f"3x3 determinant {det} is singular")
+    adj = np.array(
+        [
+            [d * f - e * e, c * e - b * f, b * e - c * d],
+            [c * e - b * f, a * f - c * c, b * c - a * e],
+            [b * e - c * d, b * c - a * e, a * d - b * b],
+        ]
+    )
+    return adj / det
 
 
 # ---------------------------------------------------------------------------

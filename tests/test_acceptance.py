@@ -34,7 +34,7 @@ from imspe_kit import (
     sweep_theta,
 )
 from imspe_kit.cli import main, run_validation
-from imspe_kit.imspe import inverse_sym_3x3, trace_of_product_sym
+from imspe_kit.oracle import inverse_sym_3x3, trace_of_product_sym
 
 ALL_FAMILIES = list(Family)
 

@@ -131,6 +131,16 @@ def test_bad_grid_spec_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("grid", ["-1:1:3", "0:1:3"])
+def test_sweep_nonpositive_decay_rate_is_usage_error(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "sweep", "--kernel", "exp-p1", "--theta", "1", "--n", "2", f"--theta-grid={grid}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "positive" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -21,7 +21,8 @@ from imspe_kit import (
     imspe_n2,
     imspe_quadratic,
 )
-from imspe_kit.imspe import COND_LIMIT, _cond_n2, inverse_sym_3x3, trace_of_product_sym
+from imspe_kit.imspe import COND_LIMIT, _cond_n2
+from imspe_kit.oracle import inverse_sym_3x3, trace_of_product_sym
 
 ALL_FAMILIES = list(Family)
 RNG = np.random.default_rng(11)

@@ -8,6 +8,7 @@ import pytest
 
 from imspe_kit import (
     Family,
+    ImspeKitError,
     Kernel,
     ValidationError,
     build_matrices,
@@ -24,13 +25,13 @@ from imspe_kit import (
     scan_surface,
     sweep_theta,
 )
+from imspe_kit.imspe import _n2_residual
 from imspe_kit.optimize import (
-    _HP_DPS,
     FIG_FIXED,
     FIG_THETA,
     OptimumReport,
-    _hp_imspe_exp,
-    _hp_imspe_gauss,
+    _hp_gauss_border,
+    _hp_gauss_pair,
 )
 
 ALL_FAMILIES = list(Family)
@@ -83,8 +84,8 @@ def test_n2_symmetric_constraint_matches_free_search():
 @pytest.mark.parametrize("family", [Family.EXP_P1, Family.GAUSS_P2])
 def test_n2_flat_basin_large_theta(family):
     # at very large decay rates the criterion is flat to 64-bit precision
-    # around the optimum; the refined search must still land near the
-    # quarter-point design
+    # around the optimum; the search on the residual must still land near
+    # the quarter-point design
     rep = optimize_n2(Kernel(family, (100.0,)), 100.0)
     x1 = max(p[0] for p in rep.design)
     assert rep.converged
@@ -101,10 +102,31 @@ def test_n2_beats_coincident_pair():
     assert rep.imspe_value < imspe_gauss_cluster(1.0, 0.0, 0.0)
 
 
-def _two_point_reference(family, theta, x1, x2):
-    """50-digit criterion: R entries by mpmath.quad split at the anchors, and
-    1 - tr(L^-1 R) with a 50-digit inverse of L."""
-    with mp.workdps(50):
+def _theta_constant(family, t):
+    """The theta-only part C(theta) of the two-point criterion, in mpmath."""
+    if family is Family.EXP_P1:
+        return mp.mpf(3) / 2 - 5 / (2 * t)
+    return mp.mpf(3) / 2 - 4 * mp.sqrt(mp.pi / (16 * t)) - 2 * mp.sqrt(mp.pi / (32 * t))
+
+
+def _digits(family, theta):
+    """Working digits for a reference residual: C(theta) plus about 16 digits
+    of a residual that decays like e^(-0.65 theta) (exp) or e^(-0.35 theta)
+    (Gaussian) at the optimum."""
+    return 50 + int((0.28 if family is Family.EXP_P1 else 0.15) * theta)
+
+
+def _bordered_residual(family, t, rho, r01, r02, r11, r22, r12):
+    """1 - tr(L^-1 R) - C(theta) at the working precision."""
+    big_l = mp.matrix([[0, 1, 1], [1, 1, rho], [1, rho, 1]])
+    big_r = mp.matrix([[1, r01, r02], [r01, r11, r12], [r02, r12, r22]])
+    s = mp.inverse(big_l) * big_r
+    return 1 - (s[0, 0] + s[1, 1] + s[2, 2]) - _theta_constant(family, t)
+
+
+def _residual_quad(family, theta, x1, x2):
+    """Reference residual with R entries by mpmath.quad split at the anchors."""
+    with mp.workdps(_digits(family, theta)):
         t, a, b = mp.mpf(theta), mp.mpf(x1), mp.mpf(x2)
         if family is Family.EXP_P1:
             corr = lambda u, v: mp.exp(-t * abs(u - v))
@@ -112,41 +134,120 @@ def _two_point_reference(family, theta, x1, x2):
             corr = lambda u, v: mp.exp(-t * (u - v) ** 2)
         nodes = [-1, min(a, b), max(a, b), 1]
         avg = lambda f: mp.quad(f, nodes) / 2
-        r01, r02 = avg(lambda x: corr(a, x)), avg(lambda x: corr(b, x))
-        r11, r22 = avg(lambda x: corr(a, x) ** 2), avg(lambda x: corr(b, x) ** 2)
-        r12 = avg(lambda x: corr(a, x) * corr(b, x))
-        rho = corr(a, b)
-        big_l = mp.matrix([[0, 1, 1], [1, 1, rho], [1, rho, 1]])
-        big_r = mp.matrix([[1, r01, r02], [r01, r11, r12], [r02, r12, r22]])
-        s = mp.inverse(big_l) * big_r
-        return 1 - (s[0, 0] + s[1, 1] + s[2, 2]), rho
+        return _bordered_residual(
+            family,
+            t,
+            corr(a, b),
+            avg(lambda x: corr(a, x)),
+            avg(lambda x: corr(b, x)),
+            avg(lambda x: corr(a, x) ** 2),
+            avg(lambda x: corr(b, x) ** 2),
+            avg(lambda x: corr(a, x) * corr(b, x)),
+        )
 
 
-#: refined optima returned by optimize_n2 at theta = 15, 30, 100
-_HP_OPTIMA = {
+def _residual_mp(family, theta, x1, x2):
+    """Reference residual with R entries from the closed-form averages in
+    mpmath (cheap enough for a grid)."""
+    with mp.workdps(_digits(family, theta)):
+        t = mp.mpf(theta)
+        if family is Family.EXP_P1:
+            border = lambda a: (2 - mp.exp(-t * (1 - a)) - mp.exp(-t * (1 + a))) / (2 * t)
+
+            def pair(a, b):
+                gap, e = abs(a - b), mp.exp(-t * abs(a - b))
+                fold = (mp.exp(-t * (2 + a + b)) + mp.exp(-t * (2 - a - b))) / 2
+                return (e - fold) / (2 * t) + gap * e / 2
+
+            rho = lambda a, b: mp.exp(-t * abs(a - b))
+        else:
+            border = lambda a: _hp_gauss_border(a, t)
+            pair = lambda a, b: _hp_gauss_pair(a, b, t)
+            rho = lambda a, b: mp.exp(-t * (a - b) ** 2)
+        a, b = mp.mpf(x1), mp.mpf(x2)
+        return _bordered_residual(
+            family, t, rho(a, b), border(a), border(b), pair(a, a), pair(b, b), pair(a, b)
+        )
+
+
+#: two-point optima at theta = 15, 30, 100 (from the former 40-digit
+#: refinement), 300 and 1000
+_LARGE_THETA_OPTIMA = {
     Family.EXP_P1: (
-        (0.40588457401609673, -0.40588457401635636),
-        (0.37715656844395273, -0.37715656844407075),
-        (0.3504347388029875, -0.3504346532806637),
+        (15.0, (0.40588457401609673, -0.40588457401635636)),
+        (30.0, (0.37715656844395273, -0.37715656844407075)),
+        (100.0, (0.3504347388029875, -0.3504346532806637)),
+        (300.0, (0.34024542326785023, -0.34024542672898767)),
+        (1000.0, (0.3358069834893329, -0.3358069804038938)),
     ),
     Family.GAUSS_P2: (
-        (0.4485867013974073, -0.44858670139725826),
-        (0.43512435633840085, -0.43512435633857505),
-        (0.42253307893602865, -0.4225330790479809),
+        (15.0, (0.4485867013974073, -0.44858670139725826)),
+        (30.0, (0.43512435633840085, -0.43512435633857505)),
+        (100.0, (0.42253307893602865, -0.4225330790479809)),
+        (300.0, (0.4176243710098915, -0.41762437277862974)),
+        (1000.0, (0.41544848911026777, -0.4154484878114124)),
     ),
 }
 
 
 @pytest.mark.parametrize("family", [Family.EXP_P1, Family.GAUSS_P2])
-def test_40_digit_two_point_criterion_matches_50_digit_quadrature(family):
-    hp_f = _hp_imspe_exp if family is Family.EXP_P1 else _hp_imspe_gauss
-    for theta, optimum in zip((15.0, 30.0, 100.0), _HP_OPTIMA[family]):
-        for x1, x2 in (optimum, (0.3, 0.3 + 1e-9)):
-            with mp.workdps(_HP_DPS):
-                value = hp_f(mp.mpf(theta), mp.mpf(x1), mp.mpf(x2))
-            ref, rho = _two_point_reference(family, theta, x1, x2)
-            # 40 digits lose about log10(cond(L)) of them, cond ~ 1/(1 - rho)
-            assert abs(value - ref) <= mp.mpf("1e-38") / (1 - rho), (family, theta, x1, x2)
+def test_two_point_residual_matches_high_precision_quadrature(family):
+    for theta, (x1, x2) in _LARGE_THETA_OPTIMA[family]:
+        ref = _residual_quad(family, theta, x1, x2)
+        value = _n2_residual(family, theta, x1, x2)
+        assert abs(value - ref) <= 1e-13 * ref, (family, theta)
+    # a near-coincident pair is refused exactly where imspe_n2 refuses it
+    # (the Gaussian condition ceiling); the exponential residual has no
+    # second difference there and stays accurate
+    for theta, _ in _LARGE_THETA_OPTIMA[family][:3]:
+        x1, x2 = 0.3, 0.3 + 1e-9
+        try:
+            imspe_n2(Kernel(family, (theta,)), theta, x1, x2)
+        except ImspeKitError as exc:
+            with pytest.raises(type(exc)):
+                _n2_residual(family, theta, x1, x2)
+            continue
+        ref = _residual_quad(family, theta, x1, x2)
+        assert abs(_n2_residual(family, theta, x1, x2) - ref) <= 1e-13 * ref
+
+
+#: symmetric optima at theta = 300 and 1000, by golden-section search on
+#: ``_residual_mp``
+_TRUE_X1 = {
+    (Family.EXP_P1, 300.0): 0.3402454,
+    (Family.EXP_P1, 1000.0): 0.3358070,
+    (Family.GAUSS_P2, 300.0): 0.4176244,
+    (Family.GAUSS_P2, 1000.0): 0.4154485,
+}
+
+
+@pytest.mark.parametrize(("family", "theta"), list(_TRUE_X1))
+def test_n2_search_finds_large_theta_optima(family, theta):
+    grid = min(_residual_mp(family, theta, a, -a) for a in np.linspace(0.005, 1.0, 200))
+    for constraint in (None, "symmetric_pair"):
+        rep = optimize_n2(Kernel(family, (theta,)), theta, constraint=constraint)
+        (x1,), (x2,) = rep.design
+        assert rep.converged, constraint
+        assert abs(max(x1, x2) - _TRUE_X1[family, theta]) <= 1e-4, constraint
+        assert _residual_mp(family, theta, x1, x2) <= grid, constraint
+
+
+@pytest.mark.parametrize(
+    ("family", "theta", "constraint"),
+    [
+        (Family.MATERN32, 1e4, "symmetric_pair"),
+        (Family.MATERN52, 1e4, "symmetric_pair"),
+        (Family.EXP_P1, 2000.0, None),
+        (Family.EXP_P1, 2000.0, "symmetric_pair"),
+        (Family.MATERN32, 900.0, None),
+    ],
+)
+def test_n2_search_without_curvature_is_not_converged(family, theta, constraint):
+    # the residual is flat in double precision here: at exp theta = 2000 it
+    # underflows to 0, and the Matern theta = 900 curvature is positive but
+    # below the round-off of its finite differences
+    rep = optimize_n2(Kernel(family, (theta,)), theta, constraint=constraint)
+    assert not rep.converged
 
 
 def test_theta_must_match_kernel():

@@ -1,7 +1,7 @@
 """Record the output of a fixed list of CLI commands, for a golden diff.
 
 Each command runs in process through ``imspe_kit.cli.main``; its exit code
-and standard output go to ``OUT/<n>.txt`` (n = 1 ... 41, in list order).
+and standard output go to ``OUT/<n>.txt`` (n = 1 ... 46, in list order).
 Record two checkouts and compare them:
 
     python tools/golden_cli.py /tmp/golden-new
@@ -25,13 +25,14 @@ POINTS_3D = "0.1,0.2,-0.3;0.5,-0.6,0.7;-0.8,0.9,0.05;0.3,0.3,0.3"
 
 
 def commands() -> list[list[str]]:
-    """The 41 commands: nine per family, then the scenario, probe and validate."""
+    """The 46 commands: nine per family, the scenario, probe and validate, then
+    two-point searches at decay rates where the criterion rounds to a constant."""
     out = []
     for fam in FAMILIES:
         k = ["--kernel", fam]
         # the symmetric search runs where each family's criterion is hardest:
-        # at theta = 30 the 40-digit refinement of exp/gauss, at 0.01 the
-        # flat Matern basin
+        # at theta = 30 exp/gauss are flat to double precision around the
+        # optimum, at 0.01 the Matern basin is flat
         sym_theta = "30" if fam in ("exp-p1", "gauss-p2") else "0.01"
         out += [
             ["eval", *k, "--theta", "1.5,0.7,3", "--points", POINTS_3D],
@@ -51,6 +52,12 @@ def commands() -> list[list[str]]:
         ["probe", "--directions", "1,0;0,1;0.6,0.8"],
         ["validate", "--samples", "40"],
     ]
+    for fam in ("exp-p1", "gauss-p2"):
+        opt = ["optimize", "--kernel", fam, "--theta", "1000", "--n", "2"]
+        out += [opt, [*opt, "--symmetric"]]
+    out.append(
+        ["optimize", "--kernel", "matern-3-2", "--theta", "10000", "--n", "2", "--symmetric"]
+    )
     return out
 
 

@@ -156,9 +156,12 @@ def _fold_cosh(t, x):
 
 
 def _n2_exp_form(theta, x1, x2):
-    """Six-term two-point exponential criterion."""
+    """Six-term two-point exponential criterion, refused as the bordered form of
+    the other families is: on the exact condition number of L and a non-finite
+    value."""
     s = abs(x1 - x2)
     e_s = math.exp(-theta * s)
+    cond = _check_cond(_cond_n2(e_s))
     theta2 = 2.0 * theta
     den = theta2 * (1.0 - e_s)
     a1 = (1.0 - _fold_cosh(theta, x1)) / theta
@@ -167,7 +170,7 @@ def _n2_exp_form(theta, x1, x2):
     b2 = (1.0 - _fold_cosh(theta2, x2)) / (2.0 * den)
     cross = 0.5 * (math.exp(-theta * (2.0 - (x1 + x2))) + math.exp(-theta * (2.0 + x1 + x2)))
     c = (e_s - cross + theta * s * e_s) / den
-    return 0.5 * (3.0 + e_s) + c - a1 - a2 - b1 - b2
+    return _check_value(0.5 * (3.0 + e_s) + c - a1 - a2 - b1 - b2, cond)
 
 
 def _check_pair(x1: float, x2: float) -> tuple[float, float]:
@@ -250,17 +253,18 @@ def _n2_residual(family: Family, theta: float, x1: float, x2: float) -> float:
     Refuses exactly the pairs ``imspe_n2`` refuses.
     """
     x1, x2 = _check_pair(x1, x2)
+    if family is Family.MATERN32 or family is Family.MATERN52:
+        return _n2_closed(family, theta, x1, x2)
     s, m = abs(x1 - x2), 0.5 * (x1 + x2)
+    rho = corr1(family, theta, s)
+    cond = _check_cond(_cond_n2(rho))
     if family is Family.EXP_P1:
         den = -2.0 * theta * math.expm1(-theta * s)
-        e_s = math.exp(-theta * s)
         f = _fold_cosh(theta, x1) + _fold_cosh(theta, x2)
         g = _fold_cosh(2.0 * theta, x1) + _fold_cosh(2.0 * theta, x2)
         cross = _fold_cosh(2.0 * theta, m)
-        return 0.5 * e_s + f / theta + g / (2.0 * den) + (theta * s * e_s - cross) / den
-    if family is not Family.GAUSS_P2:
-        return _n2_closed(family, theta, x1, x2)
-    cond = _check_cond(_cond_n2(corr1(family, theta, s)))
+        value = 0.5 * rho + f / theta + g / (2.0 * den) + (theta * s * rho - cross) / den
+        return _check_value(value, cond)
     g1, g2 = math.sqrt(theta), math.sqrt(2.0 * theta)
     s1, s2 = math.sqrt(math.pi / (16.0 * theta)), math.sqrt(math.pi / (32.0 * theta))
     e_sum = lambda a: erfc(g1 * (1.0 + a)) + erfc(g1 * (1.0 - a))

@@ -29,6 +29,7 @@ builds their 40-digit copies from mpmath's functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -179,8 +180,13 @@ def i7(a: float, theta: float) -> float:
 # Matern pair integrals: exact integration on the three segments
 # ---------------------------------------------------------------------------
 
-def _exp_moments(lam: float, k: int) -> list[float]:
+@functools.lru_cache(maxsize=4)
+def _exp_moments(lam: float, k: int) -> tuple[float, ...]:
     """Integrals of u^j * e^(-2u) over [0, lam] for j = 0..k.
+
+    A two-point Matern criterion asks for 6 moment sets at 4 distinct lam:
+    the pair integral repeats one lam of each same-anchor integral.  The
+    cache returns those repeats, as the same floats.
 
     The j = k moment is k!/2^(k+1) * P(k+1, 2*lam); the lower ones follow
     from m_(j-1) = (2/j) * (m_j + lam^j * e^(-2*lam) / 2), which adds only
@@ -192,7 +198,7 @@ def _exp_moments(lam: float, k: int) -> list[float]:
     for j in range(k, 0, -1):
         m = (m + 0.5 * lam ** j * e) * 2.0 / j
         out.append(m)
-    return out[::-1]
+    return tuple(out[::-1])
 
 
 def _i6(a, b, theta):

@@ -9,15 +9,17 @@ far better than the flat-region width.
 
 Two-point optima use deterministic-multistart Nelder-Mead (no randomness
 anywhere, so repeated runs and parallel runs are bit-identical) on the
-criterion minus its theta-only constant, ``imspe._n2_residual``.  At large
-decay rates the criterion itself rounds to that constant across a wide basin
-in double precision, while the residual keeps its relative accuracy, so one
-double-precision search serves every decay rate.  Scans and theta-sweeps are
-embarrassingly parallel; results are assembled in index order so output is
-independent of the worker count.
+criterion minus its theta-only constant, ``imspe._n2_residual``.  The
+Nelder-Mead is a two-dimensional loop on floats that takes scipy's steps bit
+for bit.  At large decay rates the criterion itself rounds to that constant
+across a wide basin in double precision, while the residual keeps its
+relative accuracy, so one double-precision search serves every decay rate.
+Scans and theta-sweeps are embarrassingly parallel; results are assembled in
+index order so output is independent of the worker count.
 
-``scipy.optimize`` is imported by the search functions themselves, so code
-that only evaluates or scans designs never loads it.
+``scipy.optimize`` is imported by the one-point and ``symmetric_pair``
+searches themselves, so code that only evaluates or scans designs, or runs
+the free two-point search, never loads it.
 """
 
 from __future__ import annotations
@@ -201,13 +203,12 @@ def optimize_n1(kernel: Kernel, theta: float, *, tol_x: float = 1e-8) -> Optimum
     )
 
 
-def _pair_objective(family: Family, theta: float) -> Callable[[Sequence[float]], float]:
+def _pair_objective(family: Family, theta: float) -> Callable[[float, float], float]:
     """Two-point search objective of a pair (x1, x2): the criterion residual
     ``_n2_residual`` inside the box, ``math.inf`` outside it and where the
     residual refuses the pair (coincident or ill-conditioned)."""
 
-    def objective(pt):
-        x1, x2 = float(pt[0]), float(pt[1])
+    def objective(x1, x2):
         if abs(x1) > 1.0 or abs(x2) > 1.0:
             return math.inf
         try:
@@ -218,22 +219,75 @@ def _pair_objective(family: Family, theta: float) -> Callable[[Sequence[float]],
     return objective
 
 
+class _BudgetSpent(Exception):
+    """The Nelder-Mead evaluation budget ran out inside an iteration."""
+
+
+def _nelder_mead(objective, x0, tol_x: float):
+    """Two-dimensional Nelder-Mead on floats: (best vertex, its value, evaluations).
+
+    Step for step scipy's ``minimize(method="Nelder-Mead")`` with ``xatol=tol_x``,
+    ``fatol=1e-14`` and ``maxiter = maxfev = 4000``: the same coefficients (1, 2,
+    1/2, 1/2), initial simplex, order of arithmetic, stable sort by value (NaN
+    last) and stop test (a NaN difference fails it).  An iteration cut short by
+    the evaluation budget is dropped; the iteration budget never binds first,
+    because every iteration evaluates at least once.
+    """
+    nfev = 0
+
+    def f(p):
+        nonlocal nfev
+        if nfev >= 4000:
+            raise _BudgetSpent
+        nfev += 1
+        return objective(*p)
+
+    a, b = x0
+    sim = [(a, b), (1.05 * a if a else 0.00025, b), (a, 1.05 * b if b else 0.00025)]
+    fs = [f(p) for p in sim]
+    while True:
+        order = sorted(range(3), key=lambda i: (fs[i] != fs[i], fs[i]))
+        sim, fs = [sim[i] for i in order], [fs[i] for i in order]
+        (p0, q0), (p1, q1), (p2, q2) = sim
+        if nfev >= 4000:
+            break
+        dx = (p1 - p0, q1 - q0, p2 - p0, q2 - q0)
+        if all(abs(d) <= tol_x for d in dx) and all(abs(fs[0] - v) <= 1e-14 for v in fs[1:]):
+            break
+        xb, yb = (p0 + p1) / 2, (q0 + q1) / 2
+        try:
+            fr = f(xr := (2 * xb - p2, 2 * yb - q2))
+            if fr < fs[0]:
+                fe = f(xe := (3 * xb - 2 * p2, 3 * yb - 2 * q2))
+                sim[2], fs[2] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < fs[1]:
+                sim[2], fs[2] = xr, fr
+            else:
+                if fr < fs[2]:  # outside contraction
+                    fc = f(xc := (1.5 * xb - 0.5 * p2, 1.5 * yb - 0.5 * q2))
+                    accept = fc <= fr
+                else:  # inside contraction
+                    fc = f(xc := (0.5 * xb + 0.5 * p2, 0.5 * yb + 0.5 * q2))
+                    accept = fc < fs[2]
+                if accept:
+                    sim[2], fs[2] = xc, fc
+                else:  # shrink towards the best vertex
+                    for j in (1, 2):
+                        sim[j] = (p0 + 0.5 * (sim[j][0] - p0), q0 + 0.5 * (sim[j][1] - q0))
+                        fs[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+    return sim[0], fs[0] if fs[2] == fs[2] else math.nan, nfev  # numpy's min keeps a NaN
+
+
 def _multistart(objective, starts, tol_x: float):
     """Best (x1, x2) of Nelder-Mead runs from each start, in order; None if no
     run returned a value below infinity."""
-    from scipy.optimize import minimize
-
     best_pt, best_val = None, math.inf
     for start in starts:
-        res = minimize(
-            objective,
-            np.asarray(start, dtype=float),
-            method="Nelder-Mead",
-            options={"xatol": tol_x, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_pt = (float(res.x[0]), float(res.x[1]))
+        pt, val, _ = _nelder_mead(objective, start, tol_x)
+        if val < best_val:
+            best_pt, best_val = pt, val
     return best_pt
 
 
@@ -288,19 +342,19 @@ def optimize_n2(
     curvature left in double precision, and on a scan of theta up to 1e4
     every report there said ``converged=False``.
     """
-    from scipy.optimize import minimize_scalar
-
     theta = _kernel_theta(kernel, theta, "two-point search")
     objective = _pair_objective(kernel.family, theta)
     if constraint == "symmetric_pair":
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
-            lambda a: objective((a, -a)),
+            lambda a: objective(a, -a),
             bounds=(1e-6, 1.0),
             method="bounded",
             options={"xatol": tol_x},
         )
         a = float(res.x)
-        best_pt = (a, -a) if objective((a, -a)) < math.inf else None
+        best_pt = (a, -a) if objective(a, -a) < math.inf else None
     elif constraint is None:
         best_pt = _multistart(objective, MULTISTART_PAIRS, tol_x)
     else:
@@ -309,7 +363,7 @@ def optimize_n2(
         return _failed_report(2)
     x1, x2 = best_pt
     value = imspe_n2(kernel, theta, x1, x2)
-    grad_norm, eigs, noise = _fd_diagnostics(lambda a, b: objective((a, b)), x1, x2)
+    grad_norm, eigs, noise = _fd_diagnostics(objective, x1, x2)
     return OptimumReport(
         design=((x1,), (x2,)),
         imspe_value=value,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imspe_kit import integrals
 from imspe_kit import (
     Family,
     Kernel,
@@ -109,8 +110,14 @@ def test_imspe_n2_dispatch(family):
     assert type(direct) is float
     assert direct == pytest.approx(build_matrices(k, [[0.5], [-0.4]]).imspe, abs=1e-12)
     # random and near-coincident pairs: same value as the solve path within
-    # its conditioning bound, and the same refusals away from the ceiling
-    for theta, x1, x2 in _n2_designs(np.random.default_rng(17), 200):
+    # its conditioning bound, and the same refusals away from the ceiling;
+    # the pairs one ulp to 1e-14 apart are refused by both
+    tiny = [
+        (theta, 0.3, x2)
+        for theta in (0.01, 1.0, 1000.0)
+        for x2 in (math.nextafter(0.3, 1.0), 0.3 + 2e-16, 0.3 + 1e-15, 0.3 + 1e-14)
+    ]
+    for theta, x1, x2 in _n2_designs(np.random.default_rng(17), 200) + tiny:
         kt = Kernel(family, (theta,))
         try:
             solved = build_matrices(kt, [[x1], [x2]])
@@ -128,6 +135,21 @@ def test_imspe_n2_dispatch(family):
         if value is not None:
             assert type(value) is float
             assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * cond, (theta, x1, x2)
+
+
+@pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
+def test_matern_two_point_criterion_computes_four_moment_sets(family, monkeypatch):
+    # the pair integral's two lam repeat those of the same-anchor integrals,
+    # and the cached moments give the uncached value bit for bit
+    kernel, pairs = Kernel(family, (2.0,)), ((0.41, -0.37), (-0.9, 0.2), (0.95, 0.5))
+    values = []
+    for x1, x2 in pairs:
+        integrals._exp_moments.cache_clear()
+        values.append(imspe_n2(kernel, 2.0, x1, x2))
+        info = integrals._exp_moments.cache_info()
+        assert (info.misses, info.hits) == (4, 2), (x1, x2)
+    monkeypatch.setattr(integrals, "_exp_moments", integrals._exp_moments.__wrapped__)
+    assert [imspe_n2(kernel, 2.0, x1, x2) for x1, x2 in pairs] == values
 
 
 def test_imspe_against_3x3_adjugate():
@@ -236,6 +258,11 @@ def test_near_singular_solve_refused():
     with pytest.raises(SolveError) as exc_info:
         imspe_n2(k, 1.0, 0.1, 0.1 + 1e-9)
     assert exc_info.value.cond_estimate > COND_LIMIT
+    # one ulp apart, the exponential form's 1 - e^(-theta s) rounds to 0:
+    # refused, not a division by zero
+    with pytest.raises(SolveError) as exc_info:
+        imspe_closed_n2_exp(1.0, 0.3, math.nextafter(0.3, 1.0))
+    assert exc_info.value.cond_estimate == math.inf
 
 
 def test_conditioning_honesty_against_expansion():

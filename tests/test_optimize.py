@@ -29,9 +29,12 @@ from imspe_kit.imspe import _n2_residual
 from imspe_kit.optimize import (
     FIG_FIXED,
     FIG_THETA,
+    MULTISTART_PAIRS,
     OptimumReport,
     _hp_gauss_border,
     _hp_gauss_pair,
+    _nelder_mead,
+    _pair_objective,
 )
 
 ALL_FAMILIES = list(Family)
@@ -248,6 +251,49 @@ def test_n2_search_without_curvature_is_not_converged(family, theta, constraint)
     # below the round-off of its finite differences
     rep = optimize_n2(Kernel(family, (theta,)), theta, constraint=constraint)
     assert not rep.converged
+
+
+def _scipy_nelder_mead(objective, start):
+    """(x, fun, nfev) of scipy's Nelder-Mead with the search's options."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        lambda p: objective(float(p[0]), float(p[1])),
+        np.asarray(start, dtype=float),
+        method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
+    )
+    return (float(res.x[0]), float(res.x[1])), float(res.fun), res.nfev
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_nelder_mead_takes_scipys_steps(family):
+    for theta in (0.01, 1.0, 100.0, 1000.0):
+        objective = _pair_objective(family, theta)
+        for start in MULTISTART_PAIRS:
+            expected = _scipy_nelder_mead(objective, start)
+            assert _nelder_mead(objective, start, 1e-8) == expected, (theta, start)
+
+
+def _nan_ring(x1, x2):
+    r2 = (x1 - 0.3) ** 2 + (x2 - 0.1) ** 2
+    return math.nan if 0.04 < r2 < 0.09 else r2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nelder_mead_stop_paths_match_scipy():
+    # math.inf everywhere: every value difference is NaN, so only the
+    # evaluation budget stops the search; the unbounded slope runs the
+    # simplex out to overflow, where the values become -inf and NaN; the
+    # NaN ring puts NaN vertices in the sort and the stop test
+    objectives = (lambda x1, x2: math.inf, lambda x1, x2: -x1 - 2.0 * x2, _nan_ring)
+    for k, objective in enumerate(objectives):
+        for start in MULTISTART_PAIRS + ((0.0, 0.0), (0.0, 0.3)):
+            x, fun, nfev = _nelder_mead(objective, start, 1e-8)
+            expected = _scipy_nelder_mead(objective, start)
+            assert x == expected[0] and nfev == expected[2], (k, start)
+            assert fun == expected[1] or (math.isnan(fun) and math.isnan(expected[1])), (k, start)
+            assert k == 2 or nfev == 4000
 
 
 def test_theta_must_match_kernel():

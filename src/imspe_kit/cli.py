@@ -169,7 +169,7 @@ def cmd_optimize(args) -> int:
         raise ValidationError("optimize supports d = 1")
     theta = kernel.theta[0]
     if args.n == 1:
-        report = optimize_n1(kernel, theta, tol_x=args.tol_x)
+        report = optimize_n1(kernel, theta)
     else:
         constraint = "symmetric_pair" if args.symmetric else None
         report = optimize_n2(kernel, theta, constraint=constraint, tol_x=args.tol_x)
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
     p.add_argument("--symmetric", action="store_true", help="restrict to x2 = -x1")
-    p.add_argument("--tol-x", type=float, default=1e-8)
+    p.add_argument("--tol-x", type=float, default=1e-8, help="two-point search tolerance")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="optimal designs over a theta grid")

@@ -133,10 +133,7 @@ def _r4(theta: float, x_t: float) -> float:
 
 def border_element(theta: float, x_t: float, delta: float) -> float:
     """The generic Gaussian border element R(x_t, delta, theta)."""
-    g = math.sqrt(theta)
-    return math.sqrt(math.pi / (16.0 * theta)) * (
-        erf(g * (1.0 + x_t + delta)) + erf(g * (1.0 - x_t - delta))
-    )
+    return integrals._i3(x_t + delta, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def imspe_closed_n1(kernel: Kernel, theta: float, x1: float) -> float:
     ``kernel.theta[0]``.
     """
     theta = _kernel_theta(kernel, theta, "closed n=1 form")
-    return 2.0 * (1.0 - integrals.border_1d(kernel.family, x1, theta))
+    return float(2.0 * (1.0 - integrals.border_1d(kernel.family, x1, theta)))
 
 
 def _fold_cosh(t, x):

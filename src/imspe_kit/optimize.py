@@ -1,11 +1,7 @@
 """Criterion-optimal design search and grid scanning.
 
-Single-point optima use a bounded scalar search polished by bisection on the
-analytic derivative of the criterion: at large decay rates the criterion is
-flat near the center to machine precision, but the derivative
-rho(1-x) - rho(1+x) (rho the one-dimensional correlation) keeps a correct
-sign arbitrarily close to the root, so the polished optimum is centered to
-far better than the flat-region width.
+The single-point optimum is the centre of the interval for every family and
+decay rate, so it is reported in closed form without a search.
 
 Two-point optima use deterministic-multistart Nelder-Mead (no randomness
 anywhere, so repeated runs and parallel runs are bit-identical) on the
@@ -17,9 +13,9 @@ relative accuracy, so one double-precision search serves every decay rate.
 Scans and theta-sweeps are embarrassingly parallel; results are assembled in
 index order so output is independent of the worker count.
 
-``scipy.optimize`` is imported by the one-point and ``symmetric_pair``
-searches themselves, so code that only evaluates or scans designs, or runs
-the free two-point search, never loads it.
+``scipy.optimize`` is imported only by the ``symmetric_pair`` search itself,
+so code that only evaluates or scans designs, or runs the free two-point
+search, never loads it.
 """
 
 from __future__ import annotations
@@ -147,59 +143,31 @@ def _n1_derivative(kernel: Kernel, theta: float, x: float) -> float:
     return corr1(kernel.family, theta, 1.0 - x) - corr1(kernel.family, theta, 1.0 + x)
 
 
-def optimize_n1(kernel: Kernel, theta: float, *, tol_x: float = 1e-8) -> OptimumReport:
-    """Single-point optimal design on [-1, 1]; ``theta`` must equal ``kernel.theta[0]``."""
-    from scipy.optimize import minimize_scalar
+def optimize_n1(kernel: Kernel, theta: float) -> OptimumReport:
+    """Single-point optimal design on [-1, 1]: the centre, in closed form.
 
-    theta = _kernel_theta(kernel, theta, "single-point search")
-    res = minimize_scalar(
-        lambda x: imspe_closed_n1(kernel, theta, x),
-        bounds=(-1.0, 1.0),
-        method="bounded",
-        options={"xatol": tol_x},
-    )
-    x_star = float(res.x)
-    # polish on the analytic derivative; the criterion itself can be flat to
-    # machine precision near the center while the derivative keeps its sign
-    lo, hi = max(-0.999, x_star - 0.5), min(0.999, x_star + 0.5)
-    f_lo, f_hi = _n1_derivative(kernel, theta, lo), _n1_derivative(kernel, theta, hi)
-    if f_lo == 0.0 and f_hi == 0.0:
-        lo, hi = -0.999, 0.999
-        f_lo, f_hi = _n1_derivative(kernel, theta, lo), _n1_derivative(kernel, theta, hi)
-    converged = res.success
-    if f_lo < 0.0 < f_hi:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = _n1_derivative(kernel, theta, mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if f_mid < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        x_star = 0.5 * (lo + hi)
-        converged = True
-    value = imspe_closed_n1(kernel, theta, x_star)
+    The criterion is ``2 * (1 - border(x))``; its derivative
+    rho(1-x) - rho(1+x) (rho the one-dimensional correlation) has the sign of
+    x for every family, because each correlation strictly decreases with
+    distance, so x = 0 is the exact optimum at every decay rate.  The gradient
+    and curvature are central differences at 0; at large decay rates the
+    curvature underflows to 0.0 while the design stays exact.  ``theta`` must
+    equal ``kernel.theta[0]``.
+    """
+    theta = _kernel_theta(kernel, theta, "single-point optimum")
     h = 1e-6
-    grad = (
-        imspe_closed_n1(kernel, theta, x_star + h)
-        - imspe_closed_n1(kernel, theta, x_star - h)
-    ) / (2.0 * h)
+    grad = (imspe_closed_n1(kernel, theta, h) - imspe_closed_n1(kernel, theta, -h)) / (2.0 * h)
     hc = 1e-2
     curvature = (
-        _n1_derivative(kernel, theta, x_star + hc)
-        - _n1_derivative(kernel, theta, x_star - hc)
+        _n1_derivative(kernel, theta, hc) - _n1_derivative(kernel, theta, -hc)
     ) / (2.0 * hc)
     return OptimumReport(
-        design=((x_star,),),
-        imspe_value=value,
-        converged=bool(converged and abs(grad) <= 1e-5),
+        design=((0.0,),),
+        imspe_value=imspe_closed_n1(kernel, theta, 0.0),
+        converged=True,
         gradient_norm=abs(grad),
         second_order_check=(curvature,),
-        boundary_distance=1.0 - abs(x_star),
+        boundary_distance=1.0,
     )
 
 
@@ -382,12 +350,12 @@ def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
 
 
 def _sweep_point(args) -> OptimumReport:
-    family, n, theta, constraint = args
+    family, n, theta = args
     try:
         kernel = Kernel(family, (theta,))
         if n == 1:
             return optimize_n1(kernel, theta)
-        return optimize_n2(kernel, theta, constraint=constraint)
+        return optimize_n2(kernel, theta)
     except ImspeKitError:
         return _failed_report(n)
 
@@ -397,7 +365,6 @@ def sweep_theta(
     n: int,
     theta_grid: Sequence[float],
     *,
-    constraint: str | None = None,
     parallel: int = 1,
 ) -> list[OptimumReport]:
     """Per-theta optimal designs over a hyperparameter grid.
@@ -411,7 +378,7 @@ def sweep_theta(
         raise ValidationError("sweeps support n in {1, 2}")
     if kernel.d != 1:
         raise ValidationError("sweeps support d = 1")
-    tasks = [(kernel.family, n, float(t), constraint) for t in theta_grid]
+    tasks = [(kernel.family, n, float(t)) for t in theta_grid]
     if parallel <= 1:
         return [_sweep_point(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=parallel) as pool:

@@ -60,6 +60,34 @@ def test_n1_report_fields():
     assert rep.gradient_norm <= 1e-6
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_n1_report_fields_every_family(family):
+    rep = optimize_n1(Kernel(family, (1.0,)), 1.0)
+    assert type(rep.imspe_value) is float
+    assert 0.0 < rep.imspe_value < 2.0
+    assert rep.boundary_distance == pytest.approx(1.0, abs=1e-5)
+    assert rep.gradient_norm <= 1e-6
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("theta", [700.0, 1e4, 1e6])
+def test_n1_optimum_is_centre_at_large_theta(family, theta):
+    # the criterion is flat to double precision over most of [-1, 1] here
+    rep = optimize_n1(Kernel(family, (theta,)), theta)
+    assert rep.design == ((0.0,),)
+    assert rep.converged
+    assert rep.boundary_distance == 1.0
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("theta", [0.01, 1.0, 100.0])
+def test_n1_closed_form_is_lowest_at_centre(family, theta):
+    kernel = Kernel(family, (theta,))
+    centre = imspe_closed_n1(kernel, theta, 0.0)
+    for x in np.linspace(-1.0, 1.0, 201):
+        assert imspe_closed_n1(kernel, theta, float(x)) >= centre, x
+
+
 # ---------------------------------------------------------------------------
 # two points
 # ---------------------------------------------------------------------------

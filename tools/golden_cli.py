@@ -1,7 +1,7 @@
 """Record the output of a fixed list of CLI commands, for a golden diff.
 
 Each command runs in process through ``imspe_kit.cli.main``; its exit code
-and standard output go to ``OUT/<n>.txt`` (n = 1 ... 46, in list order).
+and standard output go to ``OUT/<n>.txt`` (n = 1 ... 48, in list order).
 Record two checkouts and compare them:
 
     python tools/golden_cli.py /tmp/golden-new
@@ -25,8 +25,9 @@ POINTS_3D = "0.1,0.2,-0.3;0.5,-0.6,0.7;-0.8,0.9,0.05;0.3,0.3,0.3"
 
 
 def commands() -> list[list[str]]:
-    """The 46 commands: nine per family, the scenario, probe and validate, then
-    two-point searches at decay rates where the criterion rounds to a constant."""
+    """The 48 commands: nine per family, the scenario, probe and validate,
+    two-point searches at decay rates where the criterion rounds to a constant,
+    then one-point optima at large decay rates."""
     out = []
     for fam in FAMILIES:
         k = ["--kernel", fam]
@@ -58,6 +59,11 @@ def commands() -> list[list[str]]:
     out.append(
         ["optimize", "--kernel", "matern-3-2", "--theta", "10000", "--n", "2", "--symmetric"]
     )
+    out += [
+        ["optimize", "--kernel", "exp-p1", "--theta", "10000", "--n", "1"],
+        ["sweep", "--kernel", "gauss-p2", "--theta", "1", "--n", "1"]
+        + ["--theta-grid", "1:10000:5log"],
+    ]
     return out
 
 

@@ -121,7 +121,7 @@ def build_matrices(kernel: Kernel, design) -> ImspeMatrices:
         kernel,
         pts,
         lambda i: integrals._r_border(kernel, pts[i]),
-        lambda i, j: integrals._r_inner(kernel, pts[i], pts[j]),
+        integrals._inner_table(kernel, pts),
     )
 
 
@@ -216,9 +216,9 @@ def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:
         return _n2_exp_form(theta, x1, x2)
     rho = corr1(family, theta, x1 - x2)
     cond = _check_cond(_cond_n2(rho))
-    border, inner = integrals._BORDER[family], integrals._INNER[family]
-    r01, r02, r12 = border(x1, theta), border(x2, theta), inner(x1, x2, theta)
-    value = _n2_bordered_form(rho, r01, r02, inner(x1, x1, theta), inner(x2, x2, theta), r12)
+    border, inner = integrals._BORDER[family], integrals._pair_table(family, (x1, x2), theta)
+    r11, r22, r12 = inner(0, 0), inner(1, 1), inner(0, 1)
+    value = _n2_bordered_form(rho, border(x1, theta), border(x2, theta), r11, r22, r12)
     return _check_value(float(value), cond)
 
 

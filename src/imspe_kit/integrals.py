@@ -14,22 +14,23 @@ polynomial in w with nonnegative coefficients times e^(-2*gamma*w); its
 moments are regularized incomplete gamma functions, taken down from the
 highest by a recurrence that only adds positive terms.  Nothing cancels, so
 the pair integrals agree with a 30-digit reference to a few units of
-double rounding for theta from 1e-300 to 1e4.
+double rounding for theta from 1e-300 to 1e4.  The outer segments start at
+lam = gamma*(1 +- x), so one ``gammainc`` call serves all pairs of an axis.
 
 All exponential terms are arranged as e^(non-positive exponent) so nothing
 overflows for theta up to at least 1e4.  Pair integrals accept their two
 anchors in either order.
 
-Each formula is written once, as an unchecked body (``_i1`` ... ``_i8``,
-``_r_border``, ``_r_inner``) that takes validated floats; the public names
-validate their arguments and call it.  The Gaussian bodies ``_i3``/``_i4``
+Each formula is written once, as an unchecked body (``_i1`` ... ``_i7``,
+the Matern pair bodies, ``_r_border``) that takes validated floats; the
+public names validate their arguments and call it.  Every pair integral
+goes through a per-axis ``_pair_table``.  The Gaussian bodies ``_i3``/``_i4``
 are built by ``_gauss_averages`` from (sqrt, exp, erf, pi), which also
 builds their 40-digit copies from mpmath's functions.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
@@ -180,60 +181,53 @@ def i7(a: float, theta: float) -> float:
 # Matern pair integrals: exact integration on the three segments
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _exp_moments(lam: float, k: int) -> tuple[float, ...]:
-    """Integrals of u^j * e^(-2u) over [0, lam] for j = 0..k.
+def _exp_moments(lams: Sequence[float], k: int) -> list[list[float]]:
+    """Integrals of u^j * e^(-2u) over [0, lam] for j = 0..k, for each lam.
 
-    A two-point Matern criterion asks for 6 moment sets at 4 distinct lam:
-    the pair integral repeats one lam of each same-anchor integral.  The
-    cache returns those repeats, as the same floats.
-
-    The j = k moment is k!/2^(k+1) * P(k+1, 2*lam); the lower ones follow
-    from m_(j-1) = (2/j) * (m_j + lam^j * e^(-2*lam) / 2), which adds only
+    The j = k moments are k!/2^(k+1) * P(k+1, 2*lam), from one ``gammainc``
+    call over the whole sequence; the lower ones follow per lam from
+    m_(j-1) = (2/j) * (m_j + lam^j * e^(-2*lam) / 2), which adds only
     positive terms.
     """
-    e = math.exp(-2.0 * lam)
-    m = math.factorial(k) / 2.0 ** (k + 1) * float(gammainc(k + 1.0, 2.0 * lam))
-    out = [m]
-    for j in range(k, 0, -1):
-        m = (m + 0.5 * lam ** j * e) * 2.0 / j
-        out.append(m)
-    return tuple(out[::-1])
+    scale = math.factorial(k) / 2.0 ** (k + 1)
+    out = []
+    for lam, p in zip(lams, gammainc(k + 1.0, [2.0 * lam for lam in lams]).tolist()):
+        e = math.exp(-2.0 * lam)
+        m = scale * p
+        ms = [m]
+        for j in range(k, 0, -1):
+            m = (m + 0.5 * lam ** j * e) * 2.0 / j
+            ms.append(m)
+        out.append(ms[::-1])
+    return out
 
 
-def _i6(a, b, theta):
-    # in u = gamma*distance the correlation is (1 + u) e^(-u)
-    a, b = min(a, b), max(a, b)
-    g = math.sqrt(3.0 * theta)
-    s = g * (b - a)
+def _m32_pair(s, g, m_lo, m_hi):
+    # in u = gamma*distance the correlation is (1 + u) e^(-u); s = gamma*(b - a)
     total = s * (1.0 + s * (1.0 + s / 6.0))  # middle segment
-    for lam in (g * (1.0 + a), g * (1.0 - b)):
-        m0, m1, m2 = _exp_moments(lam, 2)
+    for m0, m1, m2 in (m_lo, m_hi):
         total += (1.0 + s) * m0 + (2.0 + s) * m1 + m2
     return math.exp(-s) * total / (2.0 * g)
 
 
 def i6(a: float, b: float, theta: float) -> float:
     """(1/2) * integral of the product of two Matern-3/2 correlations over [-1, 1]."""
-    return _i6(_check_coord(a), _check_coord(b), _check_theta(theta))
+    return inner_1d(Family.MATERN32, a, b, theta)
 
 
-def _i8(a, b, theta):
+def _m52_pair(s, g, m_lo, m_hi):
     # in u = gamma*distance the correlation is (1 + u + u^2/3) e^(-u)
-    a, b = min(a, b), max(a, b)
-    g = math.sqrt(5.0 * theta)
-    s = g * (b - a)
     total = s * (1.0 + s * (1.0 + s * (7.0 / 18.0 + s * (1.0 / 18.0 + s / 270.0))))
     q0, q1 = 1.0 + s * (1.0 + s / 3.0), 1.0 + s * (2.0 / 3.0)
-    coeffs = (q0, q0 + q1, q0 / 3.0 + q1 + 1.0 / 3.0, (q1 + 1.0) / 3.0, 1.0 / 9.0)
-    for lam in (g * (1.0 + a), g * (1.0 - b)):
-        total += sum(c * m for c, m in zip(coeffs, _exp_moments(lam, 4)))
+    c0, c1, c2, c3, c4 = q0, q0 + q1, q0 / 3.0 + q1 + 1.0 / 3.0, (q1 + 1.0) / 3.0, 1.0 / 9.0
+    for m0, m1, m2, m3, m4 in (m_lo, m_hi):
+        total += c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
     return math.exp(-s) * total / (2.0 * g)
 
 
 def i8(a: float, b: float, theta: float) -> float:
     """(1/2) * integral of the product of two Matern-5/2 correlations over [-1, 1]."""
-    return _i8(_check_coord(a), _check_coord(b), _check_theta(theta))
+    return inner_1d(Family.MATERN52, a, b, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +241,33 @@ _BORDER = {
     Family.MATERN52: _i7,
 }
 
-_INNER = {
-    Family.EXP_P1: _i2,
-    Family.GAUSS_P2: _i4,
-    Family.MATERN32: _i6,
-    Family.MATERN52: _i8,
-}
+#: exponential and Gaussian pair bodies (a, b, theta)
+_INNER = {Family.EXP_P1: _i2, Family.GAUSS_P2: _i4}
+
+#: Matern pair bodies (s, gamma, m_lo, m_hi), their moment order and gamma^2/theta
+_MATERN_INNER = {Family.MATERN32: (_m32_pair, 2, 3.0), Family.MATERN52: (_m52_pair, 4, 5.0)}
+
+
+def _pair_table(family: Family, xs: Sequence[float], theta: float):
+    """R's pair integral ``table(i, j)`` of any two of one axis's coordinates ``xs``.
+
+    A Matern table takes the moments of all 2n lam = gamma*(1 +- x) from one
+    ``_exp_moments`` call; pair (i, j) uses lam = gamma*(1 + a) of its smaller
+    coordinate a and lam = gamma*(1 - b) of its larger b.
+    """
+    if family in _INNER:
+        body = _INNER[family]
+        return lambda i, j: body(xs[i], xs[j], theta)
+    body, k, scale = _MATERN_INNER[family]
+    g = math.sqrt(scale * theta)
+    moments = _exp_moments([g * (1.0 + x) for x in xs] + [g * (1.0 - x) for x in xs], k)
+
+    def table(i, j):
+        if xs[j] < xs[i]:
+            i, j = j, i
+        return body(g * (xs[j] - xs[i]), g, moments[i], moments[len(xs) + j])
+
+    return table
 
 
 def border_1d(family: Family, a: float, theta: float) -> float:
@@ -262,7 +277,7 @@ def border_1d(family: Family, a: float, theta: float) -> float:
 
 def inner_1d(family: Family, a: float, b: float, theta: float) -> float:
     """Single-dimension pair integral for the given family."""
-    return _INNER[family](_check_coord(a), _check_coord(b), _check_theta(theta))
+    return _pair_table(family, (_check_coord(a), _check_coord(b)), _check_theta(theta))(0, 1)
 
 
 def _r_border(kernel: Kernel, xi) -> float:
@@ -273,12 +288,17 @@ def _r_border(kernel: Kernel, xi) -> float:
     return out
 
 
-def _r_inner(kernel: Kernel, xi, xj) -> float:
-    body = _INNER[kernel.family]
-    out = 1.0
-    for t, a, b in zip(kernel.theta, xi, xj):
-        out *= body(a, b, t)
-    return out
+def _inner_table(kernel: Kernel, pts):
+    """R's body entry ``inner(i, j)`` of validated points: per-axis tables, in axis order."""
+    tables = [_pair_table(kernel.family, xs, t) for xs, t in zip(zip(*pts), kernel.theta)]
+
+    def inner(i, j):
+        out = 1.0
+        for table in tables:
+            out *= table(i, j)
+        return out
+
+    return inner
 
 
 def r_border(kernel: Kernel, xi: Sequence[float]) -> float:
@@ -288,7 +308,7 @@ def r_border(kernel: Kernel, xi: Sequence[float]) -> float:
 
 def r_inner(kernel: Kernel, xi: Sequence[float], xj: Sequence[float]) -> float:
     """Bordered-matrix body element R_{i,j}: product of per-dimension pair integrals."""
-    return _r_inner(kernel, check_point(xi, kernel.d), check_point(xj, kernel.d))
+    return _inner_table(kernel, (check_point(xi, kernel.d), check_point(xj, kernel.d)))(0, 1)
 
 
 def j_border(theta: Sequence[float], xi: Sequence[float]) -> float:

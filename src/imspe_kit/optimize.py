@@ -15,7 +15,8 @@ index order so output is independent of the worker count.
 
 ``scipy.optimize`` is imported only by the ``symmetric_pair`` search itself,
 so code that only evaluates or scans designs, or runs the free two-point
-search, never loads it.
+search, never loads it.  ``mpmath`` is imported only by the scenario's
+40-digit solve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from . import integrals
@@ -60,9 +60,6 @@ def fig_design(t: Sequence[float]) -> np.ndarray:
 #: working precision (decimal digits) of the scenario's extended-precision solve
 _HP_DPS = 40
 
-#: the Gaussian design averages of ``integrals`` in mpmath arithmetic
-_hp_gauss_border, _hp_gauss_pair = integrals._gauss_averages(mp.sqrt, mp.exp, mp.erf, mp.pi)
-
 
 def _fig_imspe_hp(design: np.ndarray) -> float:
     """Extended-precision criterion for the constrained scenario.
@@ -71,6 +68,9 @@ def _fig_imspe_hp(design: np.ndarray) -> float:
     1/separation^2 and the 64-bit solve loses the directional-limit signal;
     a 40-digit solve keeps it.
     """
+    import mpmath as mp
+
+    hp_border, hp_pair = integrals._gauss_averages(mp.sqrt, mp.exp, mp.erf, mp.pi)
     theta = [mp.mpf(t) for t in FIG_THETA]
     pts = [[mp.mpf(float(c)) for c in p] for p in design]
     n = len(pts)
@@ -82,10 +82,10 @@ def _fig_imspe_hp(design: np.ndarray) -> float:
         return mp.exp(-sum(t * (a - b) ** 2 for t, a, b in zip(theta, pts[i], pts[j])))
 
     def border(i):
-        return math.prod((_hp_gauss_border(a, t) for t, a in zip(theta, pts[i])), start=one)
+        return math.prod((hp_border(a, t) for t, a in zip(theta, pts[i])), start=one)
 
     def inner(i, j):
-        terms = (_hp_gauss_pair(a, b, t) for t, a, b in zip(theta, pts[i], pts[j]))
+        terms = (hp_pair(a, b, t) for t, a, b in zip(theta, pts[i], pts[j]))
         return math.prod(terms, start=one)
 
     with mp.workdps(_HP_DPS):

@@ -373,12 +373,22 @@ def test_output_file_flag(tmp_path, capsys):
     assert math.isfinite(record["imspe"])
 
 
-def test_cli_import_does_not_load_the_optimizer():
-    # scipy.optimize is imported by the first design search, not at start-up
-    code = "import sys, imspe_kit.cli; print('scipy.optimize' in sys.modules)"
+def _loaded_by_cli_import(module):
+    """Whether a fresh ``import imspe_kit.cli`` puts ``module`` in sys.modules."""
+    code = f"import sys, imspe_kit.cli; print({module!r} in sys.modules)"
     src = str(Path(imspe_kit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     ).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_cli_import_does_not_load_the_optimizer():
+    # scipy.optimize is imported by the first design search, not at start-up
+    assert _loaded_by_cli_import("scipy.optimize") == "False"
+
+
+def test_cli_import_does_not_load_mpmath():
+    # mpmath is imported by the scenario's 40-digit solve, not at start-up
+    assert _loaded_by_cli_import("mpmath") == "False"

@@ -137,19 +137,37 @@ def test_imspe_n2_dispatch(family):
             assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * cond, (theta, x1, x2)
 
 
+def _record_gammainc(monkeypatch):
+    """Record the argument list of every ``gammainc`` call the integrals make."""
+    calls, real = [], integrals.gammainc
+
+    def recorded(a, x):
+        calls.append(list(x))
+        return real(a, x)
+
+    monkeypatch.setattr(integrals, "gammainc", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
-def test_matern_two_point_criterion_computes_four_moment_sets(family, monkeypatch):
-    # the pair integral's two lam repeat those of the same-anchor integrals,
-    # and the cached moments give the uncached value bit for bit
-    kernel, pairs = Kernel(family, (2.0,)), ((0.41, -0.37), (-0.9, 0.2), (0.95, 0.5))
-    values = []
-    for x1, x2 in pairs:
-        integrals._exp_moments.cache_clear()
-        values.append(imspe_n2(kernel, 2.0, x1, x2))
-        info = integrals._exp_moments.cache_info()
-        assert (info.misses, info.hits) == (4, 2), (x1, x2)
-    monkeypatch.setattr(integrals, "_exp_moments", integrals._exp_moments.__wrapped__)
-    assert [imspe_n2(kernel, 2.0, x1, x2) for x1, x2 in pairs] == values
+def test_matern_two_point_criterion_takes_one_gammainc_call(family, monkeypatch):
+    # the pair integral and both same-anchor integrals share one table of the
+    # four lam = gamma*(1 +- x): each distinct lam is computed once
+    calls = _record_gammainc(monkeypatch)
+    g = math.sqrt((3.0 if family is Family.MATERN32 else 5.0) * 2.0)
+    for x1, x2 in ((0.41, -0.37), (-0.9, 0.2), (0.95, 0.5)):
+        calls.clear()
+        imspe_n2(Kernel(family, (2.0,)), 2.0, x1, x2)
+        lams = [g * (1.0 + x1), g * (1.0 + x2), g * (1.0 - x1), g * (1.0 - x2)]
+        assert calls == [[2.0 * lam for lam in lams]], (x1, x2)
+
+
+@pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (9, 3)])
+def test_matern_assembly_takes_one_gammainc_call_per_dimension(family, n, d, monkeypatch):
+    calls = _record_gammainc(monkeypatch)
+    build_matrices(Kernel(family, tuple(np.geomspace(0.5, 9.0, d))), RNG.uniform(-1, 1, (n, d)))
+    assert [len(c) for c in calls] == [2 * n] * d
 
 
 def test_imspe_against_3x3_adjugate():
@@ -232,6 +250,28 @@ def test_criterion_in_unit_interval(x, theta):
     k = Kernel(Family.GAUSS_P2, (theta,))
     v = imspe(k, [[x]])
     assert 0.0 < v < 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(ALL_FAMILIES),
+    d=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_assembled_r_is_the_public_elements_bit_for_bit(family, d, n, data):
+    log_theta = st.floats(min_value=math.log(1e-2), max_value=math.log(1e3))
+    kernel = Kernel(family, tuple(math.exp(data.draw(log_theta)) for _ in range(d)))
+    point = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * d)
+    pts = data.draw(st.lists(point, min_size=n, max_size=n, unique=True))
+    try:
+        big_r = build_matrices(kernel, pts).R
+    except (NearSingularError, SolveError):
+        return  # R is only returned with a criterion
+    for i in range(n):
+        assert big_r[0, 1 + i] == integrals.r_border(kernel, pts[i])
+        for j in range(n):
+            assert big_r[1 + i, 1 + j] == integrals.r_inner(kernel, pts[i], pts[j])
 
 
 # ---------------------------------------------------------------------------

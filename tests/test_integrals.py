@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc
 
 from imspe_kit import Family, Kernel, ValidationError
 from imspe_kit import integrals, oracle
@@ -159,6 +160,27 @@ def test_integral_bounds(a, b, theta):
         assert 0.0 < fn(a, theta) <= 1.0
     for fn in (integrals.i2, integrals.i4, integrals.i6, integrals.i8):
         assert 0.0 < fn(a, b, theta) <= 1.0
+
+
+def _exp_moments_one(lam, k):
+    """The one-lam moment formula the table replaced, with a scalar ``gammainc``."""
+    e = math.exp(-2.0 * lam)
+    m = math.factorial(k) / 2.0 ** (k + 1) * float(gammainc(k + 1.0, 2.0 * lam))
+    out = [m]
+    for j in range(k, 0, -1):
+        m = (m + 0.5 * lam ** j * e) * 2.0 / j
+        out.append(m)
+    return out[::-1]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_exp_moments_table_matches_one_lam_formula_bit_for_bit(k):
+    draws = np.exp(RNG.uniform(math.log(1e-6), math.log(500.0), 500))
+    lams = [0.0, 1e-300, 1e-20] + draws.tolist()
+    table = integrals._exp_moments(lams, k)
+    assert len(table) == len(lams)
+    for lam, moments in zip(lams, table):
+        assert [m.hex() for m in moments] == [m.hex() for m in _exp_moments_one(lam, k)], lam
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,18 @@ from imspe_kit import (
     sweep_theta,
 )
 from imspe_kit.imspe import _n2_residual
+from imspe_kit.integrals import _gauss_averages
 from imspe_kit.optimize import (
     FIG_FIXED,
     FIG_THETA,
     MULTISTART_PAIRS,
     OptimumReport,
-    _hp_gauss_border,
-    _hp_gauss_pair,
     _nelder_mead,
     _pair_objective,
 )
+
+#: the Gaussian design averages of ``integrals`` in mpmath arithmetic
+_hp_gauss_border, _hp_gauss_pair = _gauss_averages(mp.sqrt, mp.exp, mp.erf, mp.pi)
 
 ALL_FAMILIES = list(Family)
 

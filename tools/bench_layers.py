@@ -1,0 +1,299 @@
+"""Per-layer timings of two checkouts, measured in fresh processes.
+
+Compares an old and a new checkout (each a directory holding ``src/`` and
+``perfbench/``).  Every round runs one fresh measuring process per checkout,
+alternating which goes first, and the report gives each number's median and
+range over the rounds:
+
+    python tools/bench_layers.py --old ../parent --new . --rounds 5 \\
+        --tier1 2 --e2e search-n2:31-40 --e2e raster:31-33 --out BENCH.json
+
+Layer numbers (one process per checkout and round):
+
+* microseconds per ``imspe._n2_closed`` and ``imspe._n2_residual`` call at
+  theta = 1, over 3000 fresh random pairs (|x1 - x2| > 1e-3);
+* ``integrals.gammainc`` calls, and the values they take, per Matern
+  ``imspe_n2`` evaluation;
+* ``build_matrices`` time of a Matern n = 2 raster node (theta = 1) and of a
+  random n = 200, d = 3 design at theta = (2, 5, 10);
+* one free ``optimize_n2`` search per family at theta = 1;
+* in-process wall time of the golden ``sweep --n 2`` commands.
+
+``--tier1 K`` adds K alternating tier-1 wall times per checkout, and
+``--e2e WORKLOAD:SEEDS`` adds alternating 25-second perfbench runs, one pair
+per seed (``31-40`` or ``1,4,9``).  The per-request ``_n2_residual`` counts of
+one search-n2 pass (perfbench seed ``[1, 0]``) and ``src.lines.total`` are
+counts and are taken once per checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SWEEP_N2 = ["--theta", "1", "--n", "2", "--theta-grid", "0.1:50:6log"]
+FAMILIES = ("exp-p1", "matern-3-2", "matern-5-2", "gauss-p2")
+E2E_METRICS = ("setup_s", "ops_per_s", "req_p50_ms", "req_tail_ms", "peak_rss_mb")
+METHOD = {
+    "layers": "one fresh process per checkout and round, alternating which runs first; "
+    "each number is the smallest of several repeats inside the process; median and range "
+    "over the rounds",
+    "n2_eval": "_n2_closed / _n2_residual(family, 1, x1, x2) over 3000 random pairs "
+    "(numpy seed 5, |x1 - x2| > 1e-3), smallest of 10 repeats",
+    "gammainc": "integrals.gammainc calls (and values passed) during one _n2_closed(family, "
+    "2, 0.41, -0.37)",
+    "build_matrices": "n2_node: 500 pairs of those, theta = 1, smallest of 5; n200_d3: "
+    "uniform design (numpy seed 3), theta = (2, 5, 10), smallest of 3",
+    "free_search": "optimize_n2(Kernel(family, (1,)), 1), smallest of 3",
+    "golden_sweep_n2": "in-process cli.main of the tools/golden_cli.py 'sweep --n 2' command, "
+    "smallest of 3",
+    "n2_residual_calls_per_request": "calls of optimize._n2_residual per request of one "
+    "search-n2 pass, perfbench SearchN2().make_pass(numpy.random.default_rng([1, 0]))",
+    "tier1": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, wall time "
+    "of the whole command, alternating",
+    "end_to_end": "python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0 in "
+    "each checkout, alternating which runs first; quartiles inclusive; change_better_pairs "
+    "counts the pairs where the change is better",
+}
+
+
+def _best(fn, repeat):
+    """Smallest wall time of ``repeat`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure_layers() -> dict:
+    """The layer numbers of the package on ``sys.path`` (run in a fresh process)."""
+    import numpy as np
+
+    from imspe_kit import Family, Kernel, build_matrices, cli, integrals, optimize_n2
+    from imspe_kit.imspe import _n2_closed, _n2_residual
+
+    rng = np.random.default_rng(5)
+    pairs = [p for p in rng.uniform(-1, 1, (4000, 2)).tolist() if abs(p[0] - p[1]) > 1e-3][:3000]
+    out = {}
+    for fam in map(Family, FAMILIES):
+        for name, fn in (("n2_closed", _n2_closed), ("n2_residual", _n2_residual)):
+            t = _best(lambda: [fn(fam, 1.0, a, b) for a, b in pairs], 10)
+            out[f"{name}.{fam.value}.theta=1"] = ("us/call", 1e6 * t / len(pairs))
+    real = integrals.gammainc
+    for fam in (Family.MATERN32, Family.MATERN52):
+        sizes = []
+        integrals.gammainc = lambda a, x: sizes.append(np.size(x)) or real(a, x)
+        try:
+            _n2_closed(fam, 2.0, 0.41, -0.37)
+        finally:
+            integrals.gammainc = real
+        out[f"gammainc_calls_per_n2_eval.{fam.value}"] = ("calls", len(sizes))
+        out[f"gammainc_values_per_n2_eval.{fam.value}"] = ("values", sum(sizes))
+        node = Kernel(fam, (1.0,))
+        t = _best(lambda: [build_matrices(node, [[a], [b]]) for a, b in pairs[:500]], 5)
+        out[f"build_matrices.{fam.value}.n2_node"] = ("us/call", 1e6 * t / 500)
+    big = np.random.default_rng(3).uniform(-1, 1, (200, 3))
+    for fam in map(Family, FAMILIES):
+        out[f"build_matrices.{fam.value}.n200_d3"] = (
+            "s", _best(lambda: build_matrices(Kernel(fam, (2.0, 5.0, 10.0)), big), 3)
+        )
+        kernel = Kernel(fam, (1.0,))
+        out[f"free_search.{fam.value}.theta=1"] = ("s", _best(lambda: optimize_n2(kernel, 1.0), 3))
+        argv = ["sweep", "--kernel", fam.value, *SWEEP_N2]
+        with contextlib.redirect_stdout(io.StringIO()):
+            t = _best(lambda: cli.main(argv), 3)
+        out[f"golden_sweep_n2.{fam.value}"] = ("s", t)
+    return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}
+
+
+def measure_counts(root: Path) -> dict:
+    """``_n2_residual`` calls per request of one search-n2 pass, and the source size."""
+    import numpy as np
+
+    from imspe_kit import optimize
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS["search-n2"]
+    real, counts, label = optimize._n2_residual, {}, [None]
+
+    def counted(*args):
+        counts[label[0]] = counts.get(label[0], 0) + 1
+        return real(*args)
+
+    optimize._n2_residual = counted
+    try:
+        for req in wl.make_pass(np.random.default_rng([1, 0])):
+            label[0] = req.kind
+            wl.call(req)
+    finally:
+        optimize._n2_residual = real
+    src = root / "src"
+    lines = sum(sum(1 for ln in open(p, encoding="utf-8") if ln.strip()) for p in src.rglob("*.py"))
+    return {"n2_residual_calls": dict(sorted(counts.items())), "src_lines_total": lines}
+
+
+def _machine() -> dict:
+    import mpmath
+    import numpy
+    import scipy
+
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), "")
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": sys.version.split()[0],
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "mpmath": mpmath.__version__,
+    }
+
+
+def _child(root: Path, what: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, __file__, "--child", what, "--root", str(root)]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _summary(old: list[float], new: list[float], digits: int = 4) -> dict:
+    mo, mn = statistics.median(old), statistics.median(new)
+    return {
+        "parent": round(mo, digits),
+        "change": round(mn, digits),
+        "parent_range": [round(min(old), digits), round(max(old), digits)],
+        "change_range": [round(min(new), digits), round(max(new), digits)],
+        "rounds": len(old),
+        "ratio": round(mn / mo, 3) if mo else None,
+    }
+
+
+def _quartiles(xs):
+    q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
+    return [round(q[0], 4), round(q[2], 4)]
+
+
+def _perfbench(root: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", "25", "--trace", "0"]
+    lines = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    result = json.loads(lines[-1])
+    detail = json.loads(next(ln for ln in lines if ln.startswith("# detail "))[len("# detail "):])
+    row = {m: result["metrics"][m]["value"] for m in E2E_METRICS}
+    row.update(failed=result["failed"], attempted=result["attempted"], passes=detail["passes"])
+    return row
+
+
+def _seeds(spec: str) -> list[int]:
+    if "-" in spec:
+        lo, hi = spec.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in spec.split(",")]
+
+
+def compare(args) -> dict:
+    roots = {"parent": args.old.resolve(), "change": args.new.resolve()}
+    runs = {side: [] for side in roots}
+    for r in range(args.rounds):
+        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+            runs[side].append(_child(roots[side], "layers"))
+    first = runs["parent"][0]
+    layers = {
+        name: {"unit": first[name]["unit"], **_summary(
+            [run[name]["value"] for run in runs["parent"]], [run[name]["value"] for run in runs["change"]]
+        )}
+        for name in first
+    }
+    counts = {side: _child(root, "counts") for side, root in roots.items()}
+    report = {
+        "machine": _machine(),
+        "method": METHOD,
+        "layers": layers,
+        "n2_residual_calls_per_request": {
+            "equal": counts["parent"]["n2_residual_calls"] == counts["change"]["n2_residual_calls"],
+            "total": sum(counts["change"]["n2_residual_calls"].values()),
+            "change": counts["change"]["n2_residual_calls"],
+        },
+        "src_lines_total": {side: c["src_lines_total"] for side, c in counts.items()},
+    }
+    if args.tier1:
+        walls = {side: [] for side in roots}
+        cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+        cmd += ["-p", "no:cacheprovider"]
+        for r in range(args.tier1):
+            for side in (("change", "parent") if r % 2 == 0 else ("parent", "change")):
+                env = dict(os.environ, PYTHONPATH=str(roots[side] / "src"))
+                start = time.perf_counter()
+                done = subprocess.run(cmd, cwd=roots[side], env=env, capture_output=True, text=True)
+                walls[side].append(round(time.perf_counter() - start, 1))
+                walls[f"{side}_summary"] = done.stdout.strip().splitlines()[-1]
+        report["tier1_wall_s"] = walls
+    e2e = {}
+    for spec in args.e2e:
+        workload, seeds = spec.split(":")
+        rows = {side: [] for side in roots}
+        for i, seed in enumerate(_seeds(seeds)):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                rows[side].append(_perfbench(roots[side], workload, seed))
+        better = {"setup_s": -1, "ops_per_s": 1, "req_p50_ms": -1, "req_tail_ms": -1, "peak_rss_mb": -1}
+        out = {}
+        for m in E2E_METRICS:
+            old = [row[m] for row in rows["parent"]]
+            new = [row[m] for row in rows["change"]]
+            out[m] = {
+                "parent_median": round(statistics.median(old), 4),
+                "parent_quartiles": _quartiles(old),
+                "change_median": round(statistics.median(new), 4),
+                "change_quartiles": _quartiles(new),
+                "ratio": round(statistics.median(new) / statistics.median(old), 3),
+                "change_better_pairs": sum(better[m] * (b - a) > 0 for a, b in zip(old, new)),
+                "pairs": len(old),
+            }
+        out["passes"] = {side: [row["passes"] for row in rows[side]] for side in roots}
+        out["failed"] = {side: [row["failed"] for row in rows[side]] for side in roots}
+        out["seeds"] = _seeds(seeds)
+        e2e[workload] = out
+    if e2e:
+        report["end_to_end"] = e2e
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--old", type=Path, help="checkout measured as the parent")
+    parser.add_argument("--new", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--tier1", type=int, default=0, help="alternating tier-1 runs per checkout")
+    parser.add_argument("--e2e", action="append", default=[], help="WORKLOAD:SEEDS perfbench pairs")
+    parser.add_argument("--out", type=Path, help="write the JSON report here (default: stdout)")
+    parser.add_argument("--child", choices=("layers", "counts"), help=argparse.SUPPRESS)
+    parser.add_argument("--root", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        result = measure_layers() if args.child == "layers" else measure_counts(args.root)
+        print(json.dumps(result))
+        return 0
+    if args.old is None:
+        parser.error("--old is required")
+    text = json.dumps(compare(args), indent=1)
+    if args.out:
+        args.out.write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -96,7 +96,7 @@ def _parse_theta_grid(text: str) -> np.ndarray:
         lo, hi, num = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ValidationError(f"bad grid spec: {text!r}") from exc
-    if num < 2 or hi <= lo:
+    if num < 2 or hi <= lo or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"bad grid spec: {text!r}")
     if log_scale:
         return log_grid(lo, hi, num)
@@ -308,8 +308,11 @@ def run_validation(samples: int, *, abs_tol: float = 1e-9) -> tuple[list[tuple],
     """Closed-form vs quadrature agreement over log-uniform random draws.
 
     Returns per-case worst-error rows and an overall pass flag.  The random
-    stream is fixed-seed, so the run is reproducible.
+    stream is fixed-seed, so the run is reproducible.  ``samples`` must be
+    at least 1, so that a pass rests on comparisons.
     """
+    if samples < 1:
+        raise ValidationError(f"samples = {samples} must be at least 1")
     rng = np.random.default_rng(20240817)
     rows = []
     ok = True

@@ -24,7 +24,8 @@ anchors in either order.
 Each formula is written once, as an unchecked body (``_i1`` ... ``_i7``,
 the Matern pair bodies, ``_r_border``) that takes validated floats; the
 public names validate their arguments and call it.  Every pair integral
-goes through a per-axis ``_pair_table``.  The Gaussian bodies ``_i3``/``_i4``
+of a design goes through a per-axis ``_pair_table``; a lone pair of anchors
+goes through ``_pair``.  The Gaussian bodies ``_i3``/``_i4``
 are built by ``_gauss_averages`` from (sqrt, exp, erf, pi), which also
 builds their 40-digit copies from mpmath's functions.
 """
@@ -270,6 +271,19 @@ def _pair_table(family: Family, xs: Sequence[float], theta: float):
     return table
 
 
+def _pair(family: Family, a, b, theta):
+    """R's pair integral of two coordinates, ``_pair_table(family, (a, b),
+    theta)(0, 1)``; a Matern pair takes only the 2 moment sets it reads."""
+    if family in _INNER:
+        return _INNER[family](a, b, theta)
+    body, k, scale = _MATERN_INNER[family]
+    g = math.sqrt(scale * theta)
+    if b < a:
+        a, b = b, a
+    m_lo, m_hi = _exp_moments([g * (1.0 + a), g * (1.0 - b)], k)
+    return body(g * (b - a), g, m_lo, m_hi)
+
+
 def border_1d(family: Family, a: float, theta: float) -> float:
     """Single-dimension border integral for the given family."""
     return _BORDER[family](_check_coord(a), _check_theta(theta))
@@ -277,7 +291,7 @@ def border_1d(family: Family, a: float, theta: float) -> float:
 
 def inner_1d(family: Family, a: float, b: float, theta: float) -> float:
     """Single-dimension pair integral for the given family."""
-    return _pair_table(family, (_check_coord(a), _check_coord(b)), _check_theta(theta))(0, 1)
+    return _pair(family, _check_coord(a), _check_coord(b), _check_theta(theta))
 
 
 def _r_border(kernel: Kernel, xi) -> float:
@@ -308,7 +322,8 @@ def r_border(kernel: Kernel, xi: Sequence[float]) -> float:
 
 def r_inner(kernel: Kernel, xi: Sequence[float], xj: Sequence[float]) -> float:
     """Bordered-matrix body element R_{i,j}: product of per-dimension pair integrals."""
-    return _inner_table(kernel, (check_point(xi, kernel.d), check_point(xj, kernel.d)))(0, 1)
+    pairs = zip(kernel.theta, check_point(xi, kernel.d), check_point(xj, kernel.d))
+    return math.prod((_pair(kernel.family, a, b, t) for t, a, b in pairs), start=1.0)
 
 
 def j_border(theta: Sequence[float], xi: Sequence[float]) -> float:

@@ -13,10 +13,10 @@ relative accuracy, so one double-precision search serves every decay rate.
 Scans and theta-sweeps are embarrassingly parallel; results are assembled in
 index order so output is independent of the worker count.
 
-``scipy.optimize`` is imported only by the ``symmetric_pair`` search itself,
-so code that only evaluates or scans designs, or runs the free two-point
-search, never loads it.  ``mpmath`` is imported only by the scenario's
-40-digit solve.
+The ``symmetric_pair`` search is Brent's bounded scalar method, also a loop
+on floats that takes scipy's steps bit for bit, so no search loads
+``scipy.optimize``.  ``mpmath`` is imported only by the scenario's 40-digit
+solve.
 """
 
 from __future__ import annotations
@@ -248,6 +248,73 @@ def _nelder_mead(objective, x0, tol_x: float):
     return sim[0], fs[0] if fs[2] == fs[2] else math.nan, nfev  # numpy's min keeps a NaN
 
 
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_brent(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimiser of ``f`` on [lo, hi] by Brent's bounded method, on floats.
+
+    Step for step scipy's ``minimize_scalar(method="bounded")`` with ``xatol``:
+    the same first point lo + golden_mean * (hi - lo), parabolic-fit test,
+    boundary guard, smallest step ``tol1`` (the sign of 0 counted as +1),
+    bracket and three-point updates in the same order of comparisons, and the
+    500-evaluation cap.  A NaN or infinite value makes the parabola's p and q
+    NaN, so every comparison on them fails, as in scipy.
+    """
+    a, b = lo, hi
+    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def _multistart(objective, starts, tol_x: float):
     """Best (x1, x2) of Nelder-Mead runs from each start, in order; None if no
     run returned a value below infinity."""
@@ -295,8 +362,10 @@ def optimize_n2(
     """Two-point optimal design on [-1, 1], one dimension.
 
     ``constraint='symmetric_pair'`` restricts to x2 = -x1 and searches the
-    scalar half-separation; the default searches both coordinates by
-    Nelder-Mead from the deterministic multistart lattice.  Both minimise
+    scalar half-separation by Brent's bounded method on [1e-6, 1]; the default
+    searches both coordinates by Nelder-Mead from the deterministic multistart
+    lattice.  ``tol_x`` is the searches' absolute tolerance in x and must be
+    positive and finite.  Both minimise
     ``_n2_residual``; the report carries ``imspe_n2`` at the optimum and the
     gradient and Hessian eigenvalues of the residual there, and is
     ``converged`` only if the gradient is small and both eigenvalues exceed
@@ -311,17 +380,11 @@ def optimize_n2(
     every report there said ``converged=False``.
     """
     theta = _kernel_theta(kernel, theta, "two-point search")
+    if not 0.0 < tol_x < math.inf:
+        raise ValidationError(f"tol_x = {tol_x} must be positive and finite")
     objective = _pair_objective(kernel.family, theta)
     if constraint == "symmetric_pair":
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda a: objective(a, -a),
-            bounds=(1e-6, 1.0),
-            method="bounded",
-            options={"xatol": tol_x},
-        )
-        a = float(res.x)
+        a = _bounded_brent(lambda a: objective(a, -a), 1e-6, 1.0, tol_x)
         best_pt = (a, -a) if objective(a, -a) < math.inf else None
     elif constraint is None:
         best_pt = _multistart(objective, MULTISTART_PAIRS, tol_x)
@@ -344,8 +407,8 @@ def optimize_n2(
 
 def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     """Inclusive log-uniform grid."""
-    if lo <= 0.0 or hi <= lo or num < 2:
-        raise ValidationError("log grid needs 0 < lo < hi and at least 2 points")
+    if not 0.0 < lo < hi < math.inf or num < 2:
+        raise ValidationError("log grid needs 0 < lo < hi < inf and at least 2 points")
     return np.logspace(math.log10(lo), math.log10(hi), num)
 
 

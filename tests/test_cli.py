@@ -148,8 +148,17 @@ def test_sweep_nonpositive_decay_rate_is_usage_error(capsys, grid):
         ("probe", "--directions", "1,0;0,x"),
         ("probe", "--h-sequence", "0.1,x"),
         ("scan", "--mode", "n2", "--kernel", "exp-p1", "--grid=-1:1:3"),
+        ("sweep", "--kernel", "exp-p1", "--theta", "1", "--theta-grid=1:inf:3"),
+        ("sweep", "--kernel", "exp-p1", "--theta", "1", "--theta-grid=1:nan:3"),
+        ("sweep", "--kernel", "exp-p1", "--theta", "1", "--theta-grid=0.5:1e309:3"),
+        ("sweep", "--kernel", "exp-p1", "--theta", "1", "--theta-grid=1:inf:3log"),
+        ("scan", "--mode", "fig", "--grid=-1:inf:3"),
+        ("validate", "--samples", "0"),
+        ("validate", "--samples", "-3"),
+        ("optimize", "--kernel", "exp-p1", "--theta", "1", "--n", "2", "--tol-x", "nan"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -373,9 +382,10 @@ def test_output_file_flag(tmp_path, capsys):
     assert math.isfinite(record["imspe"])
 
 
-def _loaded_by_cli_import(module):
-    """Whether a fresh ``import imspe_kit.cli`` puts ``module`` in sys.modules."""
-    code = f"import sys, imspe_kit.cli; print({module!r} in sys.modules)"
+def _loaded_by_cli_import(module, then=""):
+    """Whether a fresh ``import imspe_kit.cli``, followed by the statements
+    ``then``, puts ``module`` in sys.modules."""
+    code = f"import sys, imspe_kit.cli\n{then}\nprint({module!r} in sys.modules)"
     src = str(Path(imspe_kit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -385,8 +395,18 @@ def _loaded_by_cli_import(module):
 
 
 def test_cli_import_does_not_load_the_optimizer():
-    # scipy.optimize is imported by the first design search, not at start-up
+    # nothing in the package imports scipy.optimize, at start-up or later
     assert _loaded_by_cli_import("scipy.optimize") == "False"
+
+
+def test_design_searches_do_not_load_the_optimizer():
+    searches = (
+        "from imspe_kit import Family, Kernel, optimize_n2\n"
+        "kernel = Kernel(Family.GAUSS_P2, (1.0,))\n"
+        "optimize_n2(kernel, 1.0, constraint='symmetric_pair')\n"
+        "optimize_n2(kernel, 1.0)"
+    )
+    assert _loaded_by_cli_import("scipy.optimize", searches) == "False"
 
 
 def test_cli_import_does_not_load_mpmath():

@@ -170,6 +170,34 @@ def test_matern_assembly_takes_one_gammainc_call_per_dimension(family, n, d, mon
     assert [len(c) for c in calls] == [2 * n] * d
 
 
+@pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
+def test_matern_anchor_pair_takes_two_moment_sets(family, monkeypatch):
+    # a lone pair reads only lam = gamma*(1 + a) of its smaller anchor a and
+    # lam = gamma*(1 - b) of its larger b, and equals the table's entry
+    calls = _record_gammainc(monkeypatch)
+    scale = 3.0 if family is Family.MATERN32 else 5.0
+    scalar = integrals.i6 if family is Family.MATERN32 else integrals.i8
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        thetas = (10.0 ** rng.uniform(-2, 3, 2)).tolist()
+        xi, xj = rng.uniform(-1, 1, (2, 2)).tolist()
+        expected, tables = [], 1.0
+        for t, a, b in zip(thetas, xi, xj):
+            g = math.sqrt(scale * t)
+            expected.append([2.0 * g * (1.0 + min(a, b)), 2.0 * g * (1.0 - max(a, b))])
+            tables *= integrals._pair_table(family, (a, b), t)(0, 1)
+        (a, b), theta, first = (xi[0], xj[0]), thetas[0], expected[:1]
+        table = integrals._pair_table(family, (a, b), theta)(0, 1)
+        for call, want, lams in (
+            (lambda: integrals.inner_1d(family, a, b, theta), table, first),
+            (lambda: scalar(b, a, theta), table, first),
+            (lambda: integrals.r_inner(Kernel(family, tuple(thetas)), xi, xj), tables, expected),
+        ):
+            calls.clear()
+            assert call().hex() == want.hex(), (thetas, xi, xj)
+            assert calls == lams, (thetas, xi, xj)
+
+
 def test_imspe_against_3x3_adjugate():
     for family in ALL_FAMILIES:
         k = Kernel(family, (1.7,))

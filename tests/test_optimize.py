@@ -32,6 +32,7 @@ from imspe_kit.optimize import (
     FIG_THETA,
     MULTISTART_PAIRS,
     OptimumReport,
+    _bounded_brent,
     _nelder_mead,
     _pair_objective,
 )
@@ -326,6 +327,52 @@ def test_nelder_mead_stop_paths_match_scipy():
             assert k == 2 or nfev == 4000
 
 
+def _scipy_bounded(f, lo, hi, xatol):
+    """(x, points evaluated, nfev) of scipy's bounded scalar search."""
+    from scipy.optimize import minimize_scalar
+
+    points = []
+    res = minimize_scalar(
+        lambda a: points.append(float(a)) or f(float(a)),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    return float(res.x), points, res.nfev
+
+
+def _traced_brent(f, lo, hi, xatol):
+    """(x, points evaluated, their count) of ``_bounded_brent``."""
+    points = []
+    x = _bounded_brent(lambda a: points.append(a) or f(a), lo, hi, xatol)
+    return x, points, len(points)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_bounded_brent_takes_scipys_steps(family):
+    for theta in (0.01, 1.0, 100.0, 1000.0, 1e4):
+        objective = _pair_objective(family, theta)
+        for xatol in (1e-5, 1e-8):
+            args = (lambda a: objective(a, -a), 1e-6, 1.0, xatol)
+            assert _traced_brent(*args) == _scipy_bounded(*args), (theta, xatol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bounded_brent_stop_paths_match_scipy():
+    # NaN and math.inf everywhere make every parabola fail, so the search
+    # runs on golden sections alone; |x - 0.3| over (-1e300, 1e300) needs
+    # more steps than the 500-evaluation cap allows
+    for objective, lo, hi in (
+        (lambda a: math.nan, 1e-6, 1.0),
+        (lambda a: math.inf, 1e-6, 1.0),
+        (lambda a: abs(a - 0.3), -1e300, 1e300),
+    ):
+        for xatol in (1e-5, 1e-8):
+            got = _traced_brent(objective, lo, hi, xatol)
+            assert got == _scipy_bounded(objective, lo, hi, xatol), (lo, xatol)
+            assert hi < 1e300 or got[2] == 500
+
+
 def test_theta_must_match_kernel():
     for family in (Family.EXP_P1, Family.GAUSS_P2):
         kernel = Kernel(family, (2.0,))
@@ -337,6 +384,12 @@ def test_theta_must_match_kernel():
         ):
             with pytest.raises(ValidationError, match="kernel.theta"):
                 call()
+    # so must a tolerance that is not positive and finite
+    kernel = Kernel(Family.EXP_P1, (1.0,))
+    for tol_x in (-1.0, 0.0, math.nan, math.inf):
+        for constraint in (None, "symmetric_pair"):
+            with pytest.raises(ValidationError, match="tol_x"):
+                optimize_n2(kernel, 1.0, constraint=constraint, tol_x=tol_x)
     # a sweep takes each decay rate from its grid, whatever the kernel's own
     grid = [0.5, 4.0]
     for n, search in ((1, optimize_n1), (2, optimize_n2)):
@@ -361,6 +414,9 @@ def test_log_grid_rejects_bad_args():
         log_grid(-1.0, 1.0, 5)
     with pytest.raises(ValidationError):
         log_grid(1.0, 1.0, 5)
+    for lo, hi in ((1.0, math.inf), (1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValidationError):
+            log_grid(lo, hi, 5)
 
 
 def test_sweep_serial_and_parallel_agree():

@@ -16,8 +16,14 @@ Layer numbers (one process per checkout and round):
   ``imspe_n2`` evaluation;
 * ``build_matrices`` time of a Matern n = 2 raster node (theta = 1) and of a
   random n = 200, d = 3 design at theta = (2, 5, 10);
-* one free ``optimize_n2`` search per family at theta = 1;
-* in-process wall time of the golden ``sweep --n 2`` commands.
+* one free ``optimize_n2`` search per family at theta = 1, and one
+  ``symmetric_pair`` search per family at theta in {0.01, 1, 100};
+* in-process wall time of the golden ``sweep --n 2`` commands;
+* in a fresh process that imports ``imspe_kit.cli`` and runs one
+  ``symmetric_pair`` search: its ``ru_maxrss``, and whether it loaded
+  ``scipy.optimize``;
+* wall time of a fresh ``python -m imspe_kit.cli optimize --kernel gauss-p2
+  --theta 1 --n 2 --symmetric`` process.
 
 ``--tier1 K`` adds K alternating tier-1 wall times per checkout, and
 ``--e2e WORKLOAD:SEEDS`` adds alternating 25-second perfbench runs, one pair
@@ -41,6 +47,7 @@ from pathlib import Path
 
 SWEEP_N2 = ["--theta", "1", "--n", "2", "--theta-grid", "0.1:50:6log"]
 FAMILIES = ("exp-p1", "matern-3-2", "matern-5-2", "gauss-p2")
+SYMMETRIC_CLI = ["optimize", "--kernel", "gauss-p2", "--theta", "1", "--n", "2", "--symmetric"]
 E2E_METRICS = ("setup_s", "ops_per_s", "req_p50_ms", "req_tail_ms", "peak_rss_mb")
 METHOD = {
     "layers": "one fresh process per checkout and round, alternating which runs first; "
@@ -53,6 +60,13 @@ METHOD = {
     "build_matrices": "n2_node: 500 pairs of those, theta = 1, smallest of 5; n200_d3: "
     "uniform design (numpy seed 3), theta = (2, 5, 10), smallest of 3",
     "free_search": "optimize_n2(Kernel(family, (1,)), 1), smallest of 3",
+    "symmetric_search": "optimize_n2(Kernel(family, (theta,)), theta, "
+    "constraint='symmetric_pair'), smallest of 20",
+    "symmetric_search_rss": "a fresh process imports imspe_kit.cli, runs optimize_n2("
+    "Kernel(gauss-p2, (1,)), 1, constraint='symmetric_pair') and reports ru_maxrss / 1024 "
+    "and 'scipy.optimize' in sys.modules (1 or 0)",
+    "symmetric_cli_wall": "wall time of a fresh 'python -m imspe_kit.cli "
+    + " ".join(SYMMETRIC_CLI) + "' process, timed by the parent process",
     "golden_sweep_n2": "in-process cli.main of the tools/golden_cli.py 'sweep --n 2' command, "
     "smallest of 3",
     "n2_residual_calls_per_request": "calls of optimize._n2_residual per request of one "
@@ -109,11 +123,40 @@ def measure_layers() -> dict:
         )
         kernel = Kernel(fam, (1.0,))
         out[f"free_search.{fam.value}.theta=1"] = ("s", _best(lambda: optimize_n2(kernel, 1.0), 3))
+        for theta in (0.01, 1.0, 100.0):
+            kernel = Kernel(fam, (theta,))
+            t = _best(lambda: optimize_n2(kernel, theta, constraint="symmetric_pair"), 20)
+            out[f"symmetric_search.{fam.value}.theta={theta:g}"] = ("us", 1e6 * t)
         argv = ["sweep", "--kernel", fam.value, *SWEEP_N2]
         with contextlib.redirect_stdout(io.StringIO()):
             t = _best(lambda: cli.main(argv), 3)
         out[f"golden_sweep_n2.{fam.value}"] = ("s", t)
     return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}
+
+
+def measure_symmetric_rss() -> dict:
+    """Peak RSS of a fresh process after one symmetric search, and whether it
+    loaded ``scipy.optimize``."""
+    import resource
+
+    import imspe_kit.cli  # noqa: F401  (the start-up the CLI pays)
+    from imspe_kit import Family, Kernel, optimize_n2
+
+    optimize_n2(Kernel(Family.GAUSS_P2, (1.0,)), 1.0, constraint="symmetric_pair")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    loaded = int("scipy.optimize" in sys.modules)
+    return {
+        "symmetric_search.peak_rss_mb": {"unit": "MB", "value": rss},
+        "symmetric_search.scipy_optimize_loaded": {"unit": "bool", "value": loaded},
+    }
+
+
+def _symmetric_cli_wall(root: Path) -> dict:
+    """Wall time of one fresh ``optimize --n 2 --symmetric`` CLI process."""
+    cmd = [sys.executable, "-m", "imspe_kit.cli", *SYMMETRIC_CLI]
+    start = time.perf_counter()
+    subprocess.run(cmd, env=_child_env(root), capture_output=True, check=True)
+    return {"symmetric_cli_wall": {"unit": "s", "value": time.perf_counter() - start}}
 
 
 def measure_counts(root: Path) -> dict:
@@ -159,12 +202,16 @@ def _machine() -> dict:
     }
 
 
-def _child(root: Path, what: str) -> dict:
+def _child_env(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def _child(root: Path, what: str) -> dict:
     cmd = [sys.executable, __file__, "--child", what, "--root", str(root)]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(cmd, env=_child_env(root), capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -208,7 +255,10 @@ def compare(args) -> dict:
     runs = {side: [] for side in roots}
     for r in range(args.rounds):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-            runs[side].append(_child(roots[side], "layers"))
+            root = roots[side]
+            runs[side].append(
+                {**_child(root, "layers"), **_child(root, "rss"), **_symmetric_cli_wall(root)}
+            )
     first = runs["parent"][0]
     layers = {
         name: {"unit": first[name]["unit"], **_summary(
@@ -270,6 +320,13 @@ def compare(args) -> dict:
     return report
 
 
+CHILDREN = {
+    "layers": lambda root: measure_layers(),
+    "rss": lambda root: measure_symmetric_rss(),
+    "counts": measure_counts,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--old", type=Path, help="checkout measured as the parent")
@@ -278,12 +335,11 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", type=int, default=0, help="alternating tier-1 runs per checkout")
     parser.add_argument("--e2e", action="append", default=[], help="WORKLOAD:SEEDS perfbench pairs")
     parser.add_argument("--out", type=Path, help="write the JSON report here (default: stdout)")
-    parser.add_argument("--child", choices=("layers", "counts"), help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=tuple(CHILDREN), help=argparse.SUPPRESS)
     parser.add_argument("--root", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        result = measure_layers() if args.child == "layers" else measure_counts(args.root)
-        print(json.dumps(result))
+        print(json.dumps(CHILDREN[args.child](args.root)))
         return 0
     if args.old is None:
         parser.error("--old is required")

@@ -13,6 +13,9 @@ from the series coefficients of the generic border element, and (in the test
 suite) finite-difference extraction.  The always-negative c2 at x_t = 0 is
 what rules out coincident-pair optima for this family.
 
+The exact criterion at any delta is the two-point form of ``imspe``, written
+in these coordinates without cancellation; no switch to the model is needed.
+
 The exponential family's pair correlation is not smooth at delta = 0, so no
 series is offered there; use the direct two-point closed form instead.
 """
@@ -26,14 +29,10 @@ from scipy.special import erf
 
 from . import integrals
 from .errors import ValidationError
-from .imspe import imspe_n2
-from .kernels import Family, Kernel
+from .imspe import _erf_spread, _n2_closed
+from .kernels import Family
 
 _SQRT_PI = math.sqrt(math.pi)
-
-#: below sqrt(theta)*|delta| of this size, the quadratic model is the evaluator
-#: (the direct solve and operator form both lose accuracy to cancellation there)
-SMALL_DELTA_SWITCH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -210,38 +209,6 @@ def imspe_quadratic(theta: float, x_t: float, delta: float) -> float:
     return series.c0 + series.c2 * float(theta) * delta * delta
 
 
-def _erf_central2(u: float, h: float) -> float:
-    """erf(u+h) + erf(u-h) - 2 erf(u), without small-h cancellation.
-
-    For small steps the direct difference of three O(1) erf values loses the
-    O(h^2) result to round-off, so an even-order derivative series is used
-    there instead.
-    """
-    if abs(h) > 0.125:
-        return erf(u + h) + erf(u - h) - 2.0 * erf(u)
-    # erf^{(k)}(u) = (2/sqrt(pi)) q_k(u) e^{-u^2} with q_1 = 1 and the
-    # recurrence q_{k+1} = q_k' - 2 u q_k; only even orders survive the
-    # symmetric difference
-    q = [1.0]  # polynomial coefficients of q_k, ascending powers
-    e = 2.0 / _SQRT_PI * math.exp(-u * u)
-    h2 = h * h
-    total = 0.0
-    fact = 1.0
-    h_pow = 1.0
-    for k in range(2, 13):
-        dq = [i * c for i, c in enumerate(q)][1:] or [0.0]
-        shifted = [0.0] + [-2.0 * c for c in q]
-        q = [a + b for a, b in zip(dq + [0.0] * (len(shifted) - len(dq)), shifted)]
-        fact *= k
-        if k % 2 == 0:
-            h_pow *= h2
-            qval = 0.0
-            for c in reversed(q):
-                qval = qval * u + c
-            total += 2.0 * h_pow / fact * qval * e
-    return total
-
-
 def imspe_operator_form(theta: float, x_t: float, delta: float) -> float:
     """Criterion via the bordered trace written in paired-reflection operators.
 
@@ -249,7 +216,8 @@ def imspe_operator_form(theta: float, x_t: float, delta: float) -> float:
     or zeroing (delta -> 0) of the single generic border element.  Exact (not
     a truncation), but undefined at delta = 0 where 1/(1 - V) poles.  The
     pole-adjacent terms are grouped so their O(delta^2) cancellation happens
-    analytically, keeping full accuracy down to the quadratic-model switch.
+    analytically, through ``imspe._erf_spread``, which the two-point
+    criterion also uses.
     """
     theta, x_t = _check_args(theta, x_t)
     delta = float(delta)
@@ -261,35 +229,30 @@ def imspe_operator_form(theta: float, x_t: float, delta: float) -> float:
         raise ValidationError("x_t +- delta leaves [-1, 1]")
     u2 = theta * delta * delta
     one_minus_v = -math.expm1(-4.0 * u2)
-    w_minus_1 = math.expm1(-2.0 * u2)
     r_plus = border_element(theta, x_t, delta)
     r_minus = border_element(theta, x_t, -delta)
     rd_zero = border_element(2.0 * theta, x_t, 0.0)
-    # R_D(delta) + R_D(-delta) - 2 R_D(0) as paired second central differences
+    # (W - 1)/(1 - V) = -1/(1 + e^(-2 theta delta^2)) and (R_D(delta) + R_D(-delta)
+    # - 2 R_D(0))/(1 - V) from ``_erf_spread`` stay finite where theta delta^2 underflows
     g = math.sqrt(2.0 * theta)
     pref = math.sqrt(math.pi / (32.0 * theta))
-    rd_spread = pref * (
-        _erf_central2(g * (1.0 + x_t), g * delta)
-        + _erf_central2(g * (1.0 - x_t), g * delta)
-    )
+    rd_spread = pref * _erf_spread(g * (1.0 + x_t), g * (1.0 - x_t), g * delta)
     return (
         2.0
         - one_minus_v / 2.0
         - (r_plus + r_minus)
-        + (2.0 * rd_zero * w_minus_1 - rd_spread) / (2.0 * one_minus_v)
+        - rd_zero / (1.0 + math.exp(-2.0 * u2))
+        - rd_spread / 2.0
     )
 
 
 def imspe_gauss_cluster(theta: float, x_t: float, delta: float) -> float:
-    """Gaussian two-point criterion in cluster coordinates, valid at any delta.
-
-    Dispatches to the quadratic model below the small-separation switchover
-    (where the direct solve is hopelessly ill-conditioned) and to the direct
-    two-point evaluation elsewhere.
-    """
+    """Gaussian two-point criterion in cluster coordinates, valid at any delta:
+    the pair x_t +- delta as ``imspe_n2`` gives it (within 2e-15 of a
+    high-precision reference for theta >= 0.01), and the limit c0 at delta = 0."""
     theta, x_t = _check_args(theta, x_t)
     delta = float(delta)
-    if math.sqrt(theta) * abs(delta) < SMALL_DELTA_SWITCH:
-        return imspe_quadratic(theta, x_t, delta)
-    kernel = Kernel(Family.GAUSS_P2, (theta,))
-    return imspe_n2(kernel, theta, x_t + delta, x_t - delta)
+    if delta == 0.0:
+        return expansion_gauss(x_t, theta).c0
+    x1, x2 = from_cluster(ClusterCoords(x_t=x_t, delta=delta))
+    return _n2_closed(Family.GAUSS_P2, theta, x1, x2)

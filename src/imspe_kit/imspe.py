@@ -6,12 +6,15 @@ with a unit corner and design-domain-averaged correlation products in the
 border and body.  The criterion is ``imspe = 1 - tr(solve(L) @ R)`` (process
 variance normalized to 1).
 
-One-dimensional closed forms (n = 1 and n = 2 for every family: at n = 2 the
-six-term exponential form, or else the explicit bordered inverse) sit beside
+One-dimensional closed forms (n = 1 and n = 2 for every family) sit beside
 the general solve path, with the affine domain rescaling that keeps the
-criterion invariant.  The two-point criterion is also written as a
-theta-only constant plus a residual of positive terms, which the design
-search minimises.
+criterion invariant.  The exponential and Gaussian two-point criteria are
+written once each (``_exp_two_point``, ``_gauss_two_point``), as a theta-only
+constant C(theta) plus a residual of positive terms that cancel at no
+separation.  The design search minimises the residual; the criterion is the
+same terms with C folded into the large ones, so neither loses digits to the
+other.  Both refuse only coincident points.  The Matern two-point criterion
+is the explicit bordered inverse.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import gammainc
 
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
 from .kernels import Family, Kernel, check_point, corr1, corr_pair
 
-#: condition-number ceiling of L beyond which the solve path and the n = 2 form refuse
+#: condition-number ceiling of L beyond which the solve path and the Matern n = 2
+#: form refuse (the exponential and Gaussian n = 2 forms need no ceiling)
 COND_LIMIT = 1e13
 
 
@@ -150,29 +154,6 @@ def imspe_closed_n1(kernel: Kernel, theta: float, x1: float) -> float:
     return float(2.0 * (1.0 - integrals.border_1d(kernel.family, x1, theta)))
 
 
-def _fold_cosh(t, x):
-    """e^{-t} * cosh(t x) for |x| <= 1, via decaying exponentials only."""
-    return 0.5 * (math.exp(-t * (1.0 - x)) + math.exp(-t * (1.0 + x)))
-
-
-def _n2_exp_form(theta, x1, x2):
-    """Six-term two-point exponential criterion, refused as the bordered form of
-    the other families is: on the exact condition number of L and a non-finite
-    value."""
-    s = abs(x1 - x2)
-    e_s = math.exp(-theta * s)
-    cond = _check_cond(_cond_n2(e_s))
-    theta2 = 2.0 * theta
-    den = theta2 * (1.0 - e_s)
-    a1 = (1.0 - _fold_cosh(theta, x1)) / theta
-    a2 = (1.0 - _fold_cosh(theta, x2)) / theta
-    b1 = (1.0 - _fold_cosh(theta2, x1)) / (2.0 * den)
-    b2 = (1.0 - _fold_cosh(theta2, x2)) / (2.0 * den)
-    cross = 0.5 * (math.exp(-theta * (2.0 - (x1 + x2))) + math.exp(-theta * (2.0 + x1 + x2)))
-    c = (e_s - cross + theta * s * e_s) / den
-    return _check_value(0.5 * (3.0 + e_s) + c - a1 - a2 - b1 - b2, cond)
-
-
 def _check_pair(x1: float, x2: float) -> tuple[float, float]:
     """Validate two one-dimensional points and refuse a coincident pair."""
     x1, x2 = integrals._check_coord(x1), integrals._check_coord(x2)
@@ -185,15 +166,103 @@ def _check_pair(x1: float, x2: float) -> tuple[float, float]:
     return x1, x2
 
 
-def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
-    """Six-term closed form for two points, one dimension, exponential family.
+def _expm1_ratio(y):
+    """(1 - e^(-y))/y without cancellation, 1 at y = 0."""
+    return -math.expm1(-y) / y if y else 1.0
 
-    All cosh products are folded into pure decaying exponentials so the form
-    is overflow-safe at large theta.
+
+def _exp_two_point(theta, x1, x2, criterion):
+    """The exponential two-point criterion if ``criterion``, else the residual
+    criterion - C(theta), C = 3/2 - 5/(2 theta).  With lo <= hi the points,
+    s = hi - lo, t = theta s, rho = e^(-t), r(y) = (1 - e^(-y))/y, f the folded
+    e^(-theta) cosh(theta x) and W = s r(t) (e^(-2 theta (1 - hi)) + e^(-2 theta (1 + lo)))/8,
+    the residual is rho/2 + (f1 + f2)/theta + W + rho/(2 theta r(t)), positive
+    terms with exponents <= 0, and the criterion, with C folded in, is
+    3/2 + rho/2 - sum_(a = +-x1, +-x2) (1 + a) r(theta (1 + a))/2 + W - s g(t)/2,
+    g(t) = (1 - (1 + t) e^(-t))/(t (1 - e^(-t))) -> 1/2 - t/12 as t -> 0."""
+    lo, hi = min(x1, x2), max(x1, x2)
+    s = hi - lo
+    t = theta * s
+    rho, r = math.exp(-t), _expm1_ratio(t)
+    walls = s * r * (math.exp(-2.0 * theta * (1.0 - hi)) + math.exp(-2.0 * theta * (1.0 + lo))) / 8
+    signed = (x1, -x1, x2, -x2)
+    if criterion:
+        one_minus_f = 0.5 * sum((1.0 + a) * _expm1_ratio(theta * (1.0 + a)) for a in signed)
+        g = float(gammainc(2.0, t)) / (t * t * r) if t > 1e-8 else 0.5 - t / 12.0
+        return 1.5 + 0.5 * rho - one_minus_f + walls - 0.5 * s * g
+    f = 0.5 * sum(math.exp(-theta * (1.0 + a)) for a in signed)
+    return 0.5 * rho + f / theta + walls + rho / (2.0 * theta * r)
+
+
+def _erf_series_table(order=20):
+    """Coefficients c[i][k] of (erf(u + h) + erf(u - h) - 2 erf(u)) / h^2 as the
+    even-order Taylor series u e^(-u^2) sum_i,k c[i][k] (u h)^(2i) h^(2k), from
+    erf^(n) = (2/sqrt(pi)) q_n(u) e^(-u^2), q_1 = 1, q_(n+1) = q_n' - 2 u q_n."""
+    q, rows = [1.0], []
+    for n in range(2, order + 1):
+        dq = [i * c for i, c in enumerate(q)][1:] + [0.0, 0.0]
+        q = [a - 2.0 * b for a, b in zip(dq, [0.0] + q)]
+        if n % 2 == 0:
+            rows.append([4.0 / math.sqrt(math.pi) * c / math.factorial(n) for c in q[1::2]])
+    return tuple(tuple(row[i] for row in rows[i:]) for i in range(len(rows)))
+
+
+_ERF_SERIES = _erf_series_table()
+
+
+def _horner(coeffs, x):
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _erf_spread(u1, u2, h):
+    """Sum over u = u1, u2 (each >= |h|) of erf(u + h) + erf(u - h) - 2 erf(u), over
+    1 - e^(-2 h^2): by erfc differences where |h| max(u, 1) > 0.35, else as the
+    Taylor series in h over (1 - e^(-2 h^2))/h^2, a ratio of divided differences
+    that is finite where h^2 underflows."""
+    h2, out = h * h, 0.0
+    den = -math.expm1(-2.0 * h2)
+    series = [_horner(col, h2) for col in _ERF_SERIES] if abs(h) <= 0.35 else None
+    for u in (u1, u2):
+        if abs(h) * max(u, 1.0) <= 0.35:
+            out += u * math.exp(-u * u) * _horner(series, h2 * u * u) / (den / h2 if h2 else 2.0)
+        else:
+            out -= (math.erfc(u + h) + math.erfc(u - h) - 2.0 * math.erfc(u)) / den
+    return out
+
+
+def _gauss_two_point(theta, x1, x2, criterion):
+    """The Gaussian two-point criterion if ``criterion``, else the residual
+    criterion - C(theta), C = 3/2 - 4 s1 - 2 s2, s1, s2 = sqrt(pi/(16 theta)),
+    sqrt(pi/(32 theta)), in cluster coordinates x_t = (x1 + x2)/2, delta = (x1 - x2)/2.
+    With d = e^(-2 theta delta^2), E(a) = erfc(sqrt(theta)(1 + a)) + erfc(sqrt(theta)(1 - a)),
+    F the same at 2 theta, u+- = sqrt(2 theta)(1 +- x_t), h = sqrt(2 theta) delta and
+    T = -s2 (CD(u+) + CD(u-))/(2 (1 - d^2)) >= 0 from ``_erf_spread``, the residual is
+    d^2/2 + s2 (2 d + F(x_t))/(1 + d) + s1 (E(x1) + E(x2)) + T and the criterion, with
+    C folded into P = 2 - E and Q = 2 - F, 3/2 + d^2/2 - s1 (P(x1) + P(x2)) - s2 Q(x_t)/(1 + d) + T.
     """
-    theta = integrals._check_theta(theta)
-    x1, x2 = _check_pair(x1, x2)
-    return _n2_exp_form(theta, x1, x2)
+    x_t, delta = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
+    g1, g2 = math.sqrt(theta), math.sqrt(2.0 * theta)
+    s1, s2 = math.sqrt(math.pi / (16.0 * theta)), math.sqrt(math.pi / (32.0 * theta))
+    up, um, h = g2 * (1.0 + x_t), g2 * (1.0 - x_t), g2 * delta
+    d = math.exp(-2.0 * theta * delta * delta)
+    shared = 0.5 * d * d - 0.5 * s2 * _erf_spread(up, um, h)
+    ef = math.erf if criterion else math.erfc
+    pair = ef(g1 * (1.0 + x1)) + ef(g1 * (1.0 - x1)) + ef(g1 * (1.0 + x2)) + ef(g1 * (1.0 - x2))
+    if criterion:
+        return 1.5 + shared - s1 * pair - s2 * (ef(up) + ef(um)) / (1.0 + d)
+    return shared + s2 * (2.0 * d + ef(up) + ef(um)) / (1.0 + d) + s1 * pair
+
+
+#: the families whose two-point criterion and residual come from one cancellation-free body
+_N2_FORMS = {Family.EXP_P1: _exp_two_point, Family.GAUSS_P2: _gauss_two_point}
+
+
+def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
+    """Two-point, one-dimensional exponential criterion, as ``imspe_n2`` gives it."""
+    return imspe_n2(Kernel(Family.EXP_P1, (theta,)), theta, x1, x2)
 
 
 def _n2_bordered_form(rho, r01, r02, r11, r22, r12):
@@ -211,9 +280,10 @@ def _cond_n2(rho: float) -> float:
 
 
 def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:
-    """``imspe_n2`` of a checked pair at a checked decay rate."""
-    if family is Family.EXP_P1:
-        return _n2_exp_form(theta, x1, x2)
+    """``imspe_n2`` of validated points (exp/gauss: the limit at x1 == x2 too)."""
+    form = _N2_FORMS.get(family)
+    if form is not None:
+        return _check_value(form(theta, x1, x2, True), None)
     rho = corr1(family, theta, x1 - x2)
     cond = _check_cond(_cond_n2(rho))
     border, inner = integrals._BORDER[family], integrals._pair_table(family, (x1, x2), theta)
@@ -223,9 +293,11 @@ def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:
 
 
 def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
-    """Two-point, one-dimensional criterion in closed form for every family: the
-    six-term exponential form, or the explicit bordered inverse guarded by the
-    solve path's ceiling on the exact condition number of L.  ``theta`` must
+    """Two-point, one-dimensional criterion in closed form for every family:
+    ``_exp_two_point`` or ``_gauss_two_point``, refused only for a coincident pair
+    and within 2e-15 of a high-precision reference for theta >= 0.01 at any
+    separation; for Matern the explicit bordered inverse, under
+    the solve path's ceiling on the exact condition number of L.  ``theta`` must
     equal ``kernel.theta[0]``."""
     theta = _kernel_theta(kernel, theta, "two-point form")
     return _n2_closed(kernel.family, theta, *_check_pair(x1, x2))
@@ -234,49 +306,17 @@ def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
 def _n2_residual(family: Family, theta: float, x1: float, x2: float) -> float:
     """``imspe_n2`` minus its theta-only part C(theta), as a sum of positive terms.
 
-    The criterion is a theta-only constant plus terms that decay like e^(-theta)
-    and its powers, so at large theta the raw value rounds to C in double
-    precision while this residual keeps its relative accuracy.  With
-    s = |x1 - x2| and m = (x1 + x2)/2:
-
-    * exponential family: C = 3/2 - 5/(2 theta); the residual is
-      e^(-theta s)/2 + (f1 + f2)/theta + (g1 + g2)/(2 den)
-      + (theta s e^(-theta s) - g(m))/den, with f, g the folded e^(-t) cosh(t x)
-      at t = theta, 2 theta and den = 2 theta (1 - e^(-theta s));
-    * Gaussian family: C = 3/2 - 4 s1 - 2 s2 with s1 = sqrt(pi/(16 theta)),
-      s2 = sqrt(pi/(32 theta)); the residual is d^2/2 + 2 s2 d/(1 + d)
-      + s1 (E(x1) + E(x2)) + s2 (F(x1) + F(x2) - 2 d F(m)) / (2 (1 - d^2)), with
-      d = e^(-theta s^2 / 2), E(a) = erfc(sqrt(theta)(1 + a)) + erfc(sqrt(theta)(1 - a))
-      and F the same sum at 2 theta;
-    * Matern families: C = 0 and the residual is ``imspe_n2`` itself.
-
+    At large theta the criterion rounds to C while the residual keeps its
+    relative accuracy: within 1e-13 relative of a high-precision reference for
+    theta in [1, 1e3] at any separation (``_exp_two_point``, ``_gauss_two_point``).  For
+    the Matern families C = 0 and the residual is ``imspe_n2`` itself.
     Refuses exactly the pairs ``imspe_n2`` refuses.
     """
     x1, x2 = _check_pair(x1, x2)
-    if family is Family.MATERN32 or family is Family.MATERN52:
+    form = _N2_FORMS.get(family)
+    if form is None:
         return _n2_closed(family, theta, x1, x2)
-    s, m = abs(x1 - x2), 0.5 * (x1 + x2)
-    rho = corr1(family, theta, s)
-    cond = _check_cond(_cond_n2(rho))
-    if family is Family.EXP_P1:
-        den = -2.0 * theta * math.expm1(-theta * s)
-        f = _fold_cosh(theta, x1) + _fold_cosh(theta, x2)
-        g = _fold_cosh(2.0 * theta, x1) + _fold_cosh(2.0 * theta, x2)
-        cross = _fold_cosh(2.0 * theta, m)
-        value = 0.5 * rho + f / theta + g / (2.0 * den) + (theta * s * rho - cross) / den
-        return _check_value(value, cond)
-    g1, g2 = math.sqrt(theta), math.sqrt(2.0 * theta)
-    s1, s2 = math.sqrt(math.pi / (16.0 * theta)), math.sqrt(math.pi / (32.0 * theta))
-    e_sum = lambda a: erfc(g1 * (1.0 + a)) + erfc(g1 * (1.0 - a))
-    f_sum = lambda a: erfc(g2 * (1.0 + a)) + erfc(g2 * (1.0 - a))
-    d = math.exp(-0.5 * theta * s * s)
-    value = (
-        0.5 * d * d
-        + 2.0 * s2 * d / (1.0 + d)
-        + s1 * (e_sum(x1) + e_sum(x2))
-        + s2 * (f_sum(x1) + f_sum(x2) - 2.0 * d * f_sum(m)) / (-2.0 * math.expm1(-theta * s * s))
-    )
-    return _check_value(float(value), cond)
+    return _check_value(form(theta, x1, x2, False), None)
 
 
 def domain_transform(

@@ -20,8 +20,9 @@ from imspe_kit import (
     st_term,
     to_cluster,
 )
-from imspe_kit.cluster import SMALL_DELTA_SWITCH, border_element, erf_pair_coeffs
+from imspe_kit.cluster import border_element, erf_pair_coeffs
 from imspe_kit.oracle import richardson_diff
+from test_imspe import _reference
 
 THETA_GRID = (0.5, 1.0, 5.0)
 XT_GRID = (0.0, 0.2, 0.5)
@@ -126,6 +127,14 @@ def test_operator_evaluator_rejects_zero_delta():
         imspe_operator_form(1.0, 0.0, 0.0)
 
 
+def test_operator_evaluator_where_delta_squared_underflows():
+    # theta delta^2 rounds to 0: the value is the coincident limit, not 0/0
+    for x_t in (0.0, 0.4):
+        assert imspe_operator_form(1.0, x_t, 1e-200) == pytest.approx(
+            expansion_gauss(x_t, 1.0).c0, rel=1e-14
+        )
+
+
 # ---------------------------------------------------------------------------
 # parity and remainder order
 # ---------------------------------------------------------------------------
@@ -167,15 +176,18 @@ def test_st_term_is_centered_c2():
 
 
 def test_switchover_continuity():
-    # just above and just below the dispatch threshold the two evaluators
-    # agree to the quartic remainder
+    # no switch to the quadratic model is left: on both sides of the former
+    # threshold sqrt(theta) |delta| = 1e-4, and far below it, the cluster
+    # evaluator matches a high-precision reference of the same pair
     theta = 1.0
-    d_hi = 1.01 * SMALL_DELTA_SWITCH / math.sqrt(theta)
-    d_lo = 0.99 * SMALL_DELTA_SWITCH / math.sqrt(theta)
-    hi = imspe_gauss_cluster(theta, 0.1, d_hi)
-    lo = imspe_gauss_cluster(theta, 0.1, d_lo)
-    model_gap = abs(imspe_quadratic(theta, 0.1, d_hi) - imspe_quadratic(theta, 0.1, d_lo))
-    assert abs(hi - lo) <= model_gap + 1e-10
+    for delta in (1.01e-4, 0.99e-4, 1e-8, 1e-12):
+        x1, x2 = from_cluster(ClusterCoords(x_t=0.1, delta=delta))
+        _, value = _reference(Family.GAUSS_P2, theta, x1, x2)
+        assert abs(imspe_gauss_cluster(theta, 0.1, delta) - value) <= 1e-15, delta
+    # where x_t +- delta round to one point the value is the coincident limit
+    assert imspe_gauss_cluster(theta, 0.1, 1e-200) == pytest.approx(
+        expansion_gauss(0.1, theta).c0, rel=1e-15
+    )
 
 
 def test_cluster_dispatch_large_delta_matches_direct():

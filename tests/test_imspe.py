@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from imspe_kit import integrals
 from imspe_kit import (
@@ -22,8 +23,9 @@ from imspe_kit import (
     imspe_n2,
     imspe_quadratic,
 )
-from imspe_kit.imspe import COND_LIMIT, _cond_n2
+from imspe_kit.imspe import COND_LIMIT, _cond_n2, _n2_residual
 from imspe_kit.oracle import inverse_sym_3x3, trace_of_product_sym
+from test_optimize import _residual_mp, _theta_constant
 
 ALL_FAMILIES = list(Family)
 RNG = np.random.default_rng(11)
@@ -110,8 +112,10 @@ def test_imspe_n2_dispatch(family):
     assert type(direct) is float
     assert direct == pytest.approx(build_matrices(k, [[0.5], [-0.4]]).imspe, abs=1e-12)
     # random and near-coincident pairs: same value as the solve path within
-    # its conditioning bound, and the same refusals away from the ceiling;
-    # the pairs one ulp to 1e-14 apart are refused by both
+    # its conditioning bound wherever the solve answers.  Matern pairs also
+    # share its refusals away from the ceiling (the pairs one ulp to 1e-14
+    # apart are refused by both); exponential and Gaussian pairs are never
+    # refused
     tiny = [
         (theta, 0.3, x2)
         for theta in (0.01, 1.0, 1000.0)
@@ -129,12 +133,141 @@ def test_imspe_n2_dispatch(family):
             value = imspe_n2(kt, theta, x1, x2)
         except SolveError:
             value = None
-        if abs(cond / COND_LIMIT - 1.0) <= 0.01:
+        if family in _RESIDUAL_FAMILIES:
+            assert value is not None, (theta, x1, x2)
+        elif abs(cond / COND_LIMIT - 1.0) <= 0.01:
             continue
-        assert (value is None) == (solved is None), (theta, x1, x2, cond)
-        if value is not None:
-            assert type(value) is float
-            assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * cond, (theta, x1, x2)
+        else:
+            assert (value is None) == (solved is None), (theta, x1, x2, cond)
+        if solved is None:
+            continue
+        assert type(value) is float
+        assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * cond, (theta, x1, x2)
+
+
+# ---------------------------------------------------------------------------
+# exponential and Gaussian two-point forms against a high-precision reference
+# ---------------------------------------------------------------------------
+
+_RESIDUAL_FAMILIES = (Family.EXP_P1, Family.GAUSS_P2)
+
+#: absolute error bound of the exponential and Gaussian two-point criterion for
+#: theta in [0.01, 1], where |C(theta)| reaches 248 (exp) and 22 (Gaussian)
+_SMALL_THETA_ABS = 2e-15
+
+
+def _reference(family, theta, x1, x2):
+    """(residual, criterion) of a pair from the tests' mpmath bordered solve."""
+    residual = _residual_mp(family, theta, x1, x2)
+    with mp.workdps(60):
+        return residual, residual + _theta_constant(family, mp.mpf(theta))
+
+
+def _two_point_errors(family, theta, x1, x2):
+    """Relative error of ``_n2_residual`` and absolute error of ``imspe_n2``."""
+    residual, value = _reference(family, theta, x1, x2)
+    got = imspe_n2(Kernel(family, (theta,)), theta, x1, x2)
+    rel = abs(_n2_residual(family, theta, x1, x2) - residual) / residual
+    return float(rel), float(abs(got - value))
+
+
+def test_exp_close_pairs_at_former_failure_points():
+    # the six-term form erred by 7.4e-5 down to 2.2e-7 at these separations
+    for s in (5e-13, 1e-12, 1e-11, 1e-10):
+        rel, err = _two_point_errors(Family.EXP_P1, 1.0, 0.3, 0.3 + s)
+        assert rel <= 1e-13 and err <= 1e-15, (s, rel, err)
+
+
+def test_exp_small_theta_close_pair_is_accurate():
+    # the six-term form returned -2.44e-4 here; the criterion is 0.0128624
+    x1, x2 = 0.5408061093933778, 0.5408061093613006
+    rel, err = _two_point_errors(Family.EXP_P1, 0.01, x1, x2)
+    assert rel <= 1e-15 and err <= _SMALL_THETA_ABS, (rel, err)
+    kernel = Kernel(Family.EXP_P1, (0.01,))
+    assert imspe_closed_n2_exp(0.01, x1, x2) == imspe_n2(kernel, 0.01, x1, x2)
+
+
+def test_gauss_close_pairs_at_former_failure_points():
+    # the bordered inverse erred by 8.0e-9, 9.7e-7 and 8.8e-5 at the first
+    # three separations and refused the last
+    for s in (1e-4, 1e-5, 1e-6, 1e-9):
+        rel, err = _two_point_errors(Family.GAUSS_P2, 1.0, 0.1 + s / 2, 0.1 - s / 2)
+        assert rel <= 1e-13 and err <= 1e-15, (s, rel, err)
+
+
+@pytest.mark.parametrize("family", _RESIDUAL_FAMILIES)
+def test_separated_pairs_at_small_theta(family):
+    # the former forms erred by up to about 4e-12 on such pairs at theta = 0.01
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        x1, x2 = rng.uniform(-1.0, 1.0, 2).tolist()
+        if abs(x1 - x2) < 0.05:
+            continue
+        _, err = _two_point_errors(family, 0.01, x1, x2)
+        assert err <= _SMALL_THETA_ABS, (x1, x2, err)
+
+
+def test_erf_spread_matches_mpmath():
+    from imspe_kit.imspe import _erf_spread
+
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        h = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, math.log10(1.5)))
+        us = [abs(h) + float(rng.uniform(0.0, 1.0) * rng.choice((0.1, 1.0, 5.0))) for _ in "uu"]
+        with mp.workdps(40 + max(0, -2 * math.floor(math.log10(abs(h))))):
+            big_h = mp.mpf(h)
+            ref = sum(
+                mp.erf(mp.mpf(u) + big_h) + mp.erf(mp.mpf(u) - big_h) - 2 * mp.erf(mp.mpf(u))
+                for u in us
+            ) / -mp.expm1(-2 * big_h**2)
+        if abs(ref) < 1e-290:
+            continue
+        bound = 5e-15 * max(1.0, *(u * u for u in us)) * abs(ref)
+        assert abs(_erf_spread(*us, h) - ref) <= bound, (us, h)
+
+
+def _pair_near(data, x1):
+    """A second point: anywhere, one ulp away, a decade-spaced gap from 1e-300
+    to 1e-1, or the mirror image (whose gap squared underflows for tiny x1)."""
+    kind = data.draw(st.sampled_from(("any", "ulp", "gap", "mirror")))
+    if kind == "any":
+        return data.draw(st.floats(min_value=-1.0, max_value=1.0))
+    if kind == "ulp":
+        return math.nextafter(x1, data.draw(st.sampled_from((-1.0, 1.0))))
+    if kind == "mirror":
+        return -x1
+    gap = 10.0 ** data.draw(st.floats(min_value=-300.0, max_value=-1.0))
+    return x1 + gap if x1 + gap <= 1.0 else x1 - gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(_RESIDUAL_FAMILIES),
+    log_theta=st.floats(min_value=0.0, max_value=math.log(1e3)),
+    x1=st.floats(min_value=-1.0, max_value=1.0),
+    data=st.data(),
+)
+def test_two_point_residual_relative_error_for_theta_above_one(family, log_theta, x1, data):
+    x2 = _pair_near(data, x1)
+    assume(x1 != x2)
+    theta = math.exp(log_theta)
+    rel, err = _two_point_errors(family, theta, x1, x2)
+    assert rel <= 1e-13, (theta, x1, x2, rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(_RESIDUAL_FAMILIES),
+    log_theta=st.floats(min_value=math.log(0.01), max_value=0.0),
+    x1=st.floats(min_value=-1.0, max_value=1.0),
+    data=st.data(),
+)
+def test_two_point_absolute_error_for_theta_below_one(family, log_theta, x1, data):
+    x2 = _pair_near(data, x1)
+    assume(x1 != x2)
+    theta = math.exp(log_theta)
+    rel, err = _two_point_errors(family, theta, x1, x2)
+    assert err <= _SMALL_THETA_ABS and rel <= 1e-13, (theta, x1, x2, rel, err)
 
 
 def _record_gammainc(monkeypatch):
@@ -323,14 +456,13 @@ def test_near_singular_solve_refused():
     with pytest.raises(SolveError) as exc_info:
         build_matrices(k, [[0.1], [0.1 + 1e-9]])
     assert exc_info.value.cond_estimate > COND_LIMIT
-    with pytest.raises(SolveError) as exc_info:
-        imspe_n2(k, 1.0, 0.1, 0.1 + 1e-9)
-    assert exc_info.value.cond_estimate > COND_LIMIT
-    # one ulp apart, the exponential form's 1 - e^(-theta s) rounds to 0:
-    # refused, not a division by zero
-    with pytest.raises(SolveError) as exc_info:
-        imspe_closed_n2_exp(1.0, 0.3, math.nextafter(0.3, 1.0))
-    assert exc_info.value.cond_estimate == math.inf
+    # the two-point forms need no solve and stay accurate there, and one ulp
+    # apart, where e^(-theta s) rounds to 1
+    _, value = _reference(Family.GAUSS_P2, 1.0, 0.1, 0.1 + 1e-9)
+    assert abs(imspe_n2(k, 1.0, 0.1, 0.1 + 1e-9) - value) <= 1e-15
+    x2 = math.nextafter(0.3, 1.0)
+    _, value = _reference(Family.EXP_P1, 1.0, 0.3, x2)
+    assert abs(imspe_closed_n2_exp(1.0, 0.3, x2) - value) <= 1e-15
 
 
 def test_conditioning_honesty_against_expansion():

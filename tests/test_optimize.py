@@ -143,11 +143,14 @@ def _theta_constant(family, t):
     return mp.mpf(3) / 2 - 4 * mp.sqrt(mp.pi / (16 * t)) - 2 * mp.sqrt(mp.pi / (32 * t))
 
 
-def _digits(family, theta):
+def _digits(family, theta, gap=1.0):
     """Working digits for a reference residual: C(theta) plus about 16 digits
     of a residual that decays like e^(-0.65 theta) (exp) or e^(-0.35 theta)
-    (Gaussian) at the optimum."""
-    return 50 + int((0.28 if family is Family.EXP_P1 else 0.15) * theta)
+    (Gaussian) at the optimum, plus two per decade of a pair gap below 1,
+    which the bordered solve loses to 1 - rho and to the second differences
+    of R."""
+    close = max(0, -2 * math.floor(math.log10(gap)))
+    return 50 + int((0.28 if family is Family.EXP_P1 else 0.15) * theta) + close
 
 
 def _bordered_residual(family, t, rho, r01, r02, r11, r22, r12):
@@ -183,7 +186,7 @@ def _residual_quad(family, theta, x1, x2):
 def _residual_mp(family, theta, x1, x2):
     """Reference residual with R entries from the closed-form averages in
     mpmath (cheap enough for a grid)."""
-    with mp.workdps(_digits(family, theta)):
+    with mp.workdps(_digits(family, theta, abs(x1 - x2))):
         t = mp.mpf(theta)
         if family is Family.EXP_P1:
             border = lambda a: (2 - mp.exp(-t * (1 - a)) - mp.exp(-t * (1 + a))) / (2 * t)
@@ -230,9 +233,8 @@ def test_two_point_residual_matches_high_precision_quadrature(family):
         ref = _residual_quad(family, theta, x1, x2)
         value = _n2_residual(family, theta, x1, x2)
         assert abs(value - ref) <= 1e-13 * ref, (family, theta)
-    # a near-coincident pair is refused exactly where imspe_n2 refuses it
-    # (the Gaussian condition ceiling); the exponential residual has no
-    # second difference there and stays accurate
+    # a near-coincident pair is refused exactly where imspe_n2 refuses it;
+    # neither family's residual refuses it, and both stay accurate
     for theta, _ in _LARGE_THETA_OPTIMA[family][:3]:
         x1, x2 = 0.3, 0.3 + 1e-9
         try:

@@ -11,7 +11,8 @@ range over the rounds:
 Layer numbers (one process per checkout and round):
 
 * microseconds per ``imspe._n2_closed`` and ``imspe._n2_residual`` call at
-  theta = 1, over 3000 fresh random pairs (|x1 - x2| > 1e-3);
+  theta in {0.01, 1, 100}, over 3000 fresh random pairs (|x1 - x2| > 1e-3)
+  and over 3000 near pairs (|x1 - x2| from 1e-4 to 1e-2, suffix ``.near``);
 * ``integrals.gammainc`` calls, and the values they take, per Matern
   ``imspe_n2`` evaluation;
 * ``build_matrices`` time of a Matern n = 2 raster node (theta = 1) and of a
@@ -53,8 +54,10 @@ METHOD = {
     "layers": "one fresh process per checkout and round, alternating which runs first; "
     "each number is the smallest of several repeats inside the process; median and range "
     "over the rounds",
-    "n2_eval": "_n2_closed / _n2_residual(family, 1, x1, x2) over 3000 random pairs "
-    "(numpy seed 5, |x1 - x2| > 1e-3), smallest of 10 repeats",
+    "n2_eval": "_n2_closed / _n2_residual(family, theta, x1, x2), theta in {0.01, 1, 100}, "
+    "over 3000 random pairs (numpy seed 5, |x1 - x2| > 1e-3) and, suffix .near, 3000 near "
+    "pairs (x1 uniform on [-0.98, 0.98], |x1 - x2| log-uniform on [1e-4, 1e-2]), smallest "
+    "of 5 repeats",
     "gammainc": "integrals.gammainc calls (and values passed) during one _n2_closed(family, "
     "2, 0.41, -0.37)",
     "build_matrices": "n2_node: 500 pairs of those, theta = 1, smallest of 5; n200_d3: "
@@ -98,11 +101,15 @@ def measure_layers() -> dict:
 
     rng = np.random.default_rng(5)
     pairs = [p for p in rng.uniform(-1, 1, (4000, 2)).tolist() if abs(p[0] - p[1]) > 1e-3][:3000]
+    gaps = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-4, -2, 3000)
+    near = [(a, a + g) for a, g in zip(rng.uniform(-0.98, 0.98, 3000).tolist(), gaps.tolist())]
     out = {}
     for fam in map(Family, FAMILIES):
         for name, fn in (("n2_closed", _n2_closed), ("n2_residual", _n2_residual)):
-            t = _best(lambda: [fn(fam, 1.0, a, b) for a, b in pairs], 10)
-            out[f"{name}.{fam.value}.theta=1"] = ("us/call", 1e6 * t / len(pairs))
+            for theta in (0.01, 1.0, 100.0):
+                for suffix, ps in (("", pairs), (".near", near)):
+                    t = _best(lambda: [fn(fam, theta, a, b) for a, b in ps], 5)
+                    out[f"{name}.{fam.value}.theta={theta:g}{suffix}"] = ("us/call", 1e6 * t / len(ps))
     real = integrals.gammainc
     for fam in (Family.MATERN32, Family.MATERN52):
         sizes = []

@@ -1,7 +1,7 @@
 """Record the output of a fixed list of CLI commands, for a golden diff.
 
 Each command runs in process through ``imspe_kit.cli.main``; its exit code
-and standard output go to ``OUT/<n>.txt`` (n = 1 ... 48, in list order).
+and standard output go to ``OUT/<n>.txt`` (n = 1 ... 50, in list order).
 Record two checkouts and compare them:
 
     python tools/golden_cli.py /tmp/golden-new
@@ -25,9 +25,11 @@ POINTS_3D = "0.1,0.2,-0.3;0.5,-0.6,0.7;-0.8,0.9,0.05;0.3,0.3,0.3"
 
 
 def commands() -> list[list[str]]:
-    """The 48 commands: nine per family, the scenario, probe and validate,
+    """The 50 commands: nine per family, the scenario, probe and validate,
     two-point searches at decay rates where the criterion rounds to a constant,
-    then one-point optima at large decay rates."""
+    one-point optima at large decay rates, then exp/gauss symmetric searches
+    at theta = 0.01, where the theta-only part C(theta) of the two-point
+    criterion is -248 (exp) and -22 (gauss) against a criterion near 0."""
     out = []
     for fam in FAMILIES:
         k = ["--kernel", fam]
@@ -64,6 +66,8 @@ def commands() -> list[list[str]]:
         ["sweep", "--kernel", "gauss-p2", "--theta", "1", "--n", "1"]
         + ["--theta-grid", "1:10000:5log"],
     ]
+    for fam in ("exp-p1", "gauss-p2"):
+        out.append(["optimize", "--kernel", fam, "--theta", "0.01", "--n", "2", "--symmetric"])
     return out
 
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erf
-
 from . import integrals
 from .errors import ValidationError
 from .imspe import _erf_spread, _n2_closed
@@ -78,7 +76,7 @@ def _check_args(theta: float, x_t: float) -> tuple[float, float]:
 def _erf_deriv(k: int, x: float) -> float:
     """k-th derivative of erf at x, for k = 0..4."""
     if k == 0:
-        return erf(x)
+        return math.erf(x)
     e = math.exp(-x * x)
     if k == 1:
         return 2.0 / _SQRT_PI * e
@@ -149,8 +147,8 @@ def expansion_gauss(x_t: float, theta: float) -> ExpansionSeries:
     e1m = math.exp(-theta * am * am)
     g1 = math.sqrt(theta)
     g2 = math.sqrt(2.0 * theta)
-    erf1 = erf(g1 * ap) + erf(g1 * am)
-    erf2 = erf(g2 * ap) + erf(g2 * am)
+    erf1 = math.erf(g1 * ap) + math.erf(g1 * am)
+    erf2 = math.erf(g2 * ap) + math.erf(g2 * am)
     c0 = (
         2.0
         + 0.25 * (ap * e2p + am * e2m)

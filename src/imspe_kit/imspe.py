@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
@@ -179,7 +178,9 @@ def _exp_two_point(theta, x1, x2, criterion):
     the residual is rho/2 + (f1 + f2)/theta + W + rho/(2 theta r(t)), positive
     terms with exponents <= 0, and the criterion, with C folded in, is
     3/2 + rho/2 - sum_(a = +-x1, +-x2) (1 + a) r(theta (1 + a))/2 + W - s g(t)/2,
-    g(t) = (1 - (1 + t) e^(-t))/(t (1 - e^(-t))) -> 1/2 - t/12 as t -> 0."""
+    g(t) = (1 - (1 + t) e^(-t))/(t (1 - e^(-t))) = P(2, t)/(t^2 r(t)), P(2, t) from
+    ``integrals._gamma_p``, and below t = 1e-8 1/2 - t/12, exact in double precision
+    there and finite where t^2 underflows."""
     lo, hi = min(x1, x2), max(x1, x2)
     s = hi - lo
     t = theta * s
@@ -188,7 +189,7 @@ def _exp_two_point(theta, x1, x2, criterion):
     signed = (x1, -x1, x2, -x2)
     if criterion:
         one_minus_f = 0.5 * sum((1.0 + a) * _expm1_ratio(theta * (1.0 + a)) for a in signed)
-        g = float(gammainc(2.0, t)) / (t * t * r) if t > 1e-8 else 0.5 - t / 12.0
+        g = integrals._gamma_p(2, t, (0.0, 1.0))[1] / (t * t * r) if t > 1e-8 else 0.5 - t / 12.0
         return 1.5 + 0.5 * rho - one_minus_f + walls - 0.5 * s * g
     f = 0.5 * sum(math.exp(-theta * (1.0 + a)) for a in signed)
     return 0.5 * rho + f / theta + walls + rho / (2.0 * theta * r)
@@ -286,9 +287,8 @@ def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:
         return _check_value(form(theta, x1, x2, True), None)
     rho = corr1(family, theta, x1 - x2)
     cond = _check_cond(_cond_n2(rho))
-    border, inner = integrals._BORDER[family], integrals._pair_table(family, (x1, x2), theta)
-    r11, r22, r12 = inner(0, 0), inner(1, 1), inner(0, 1)
-    value = _n2_bordered_form(rho, border(x1, theta), border(x2, theta), r11, r22, r12)
+    border, body = integrals._BORDER[family], integrals._matern_n2_body(family, x1, x2, theta)
+    value = _n2_bordered_form(rho, border(x1, theta), border(x2, theta), *body)
     return _check_value(float(value), cond)
 
 

@@ -11,11 +11,13 @@ segment the two distances sum to b - a, so the exponential is constant and
 the polynomial integrates exactly.  On each outer segment both distances
 grow with w, the distance from the nearer anchor, and the integrand is a
 polynomial in w with nonnegative coefficients times e^(-2*gamma*w); its
-moments are regularized incomplete gamma functions, taken down from the
-highest by a recurrence that only adds positive terms.  Nothing cancels, so
-the pair integrals agree with a 30-digit reference to a few units of
-double rounding for theta from 1e-300 to 1e4.  The outer segments start at
-lam = gamma*(1 +- x), so one ``gammainc`` call serves all pairs of an axis.
+moments are regularized incomplete gamma functions of integer order, which
+``_gamma_p`` takes from elementary functions: a series of positive terms
+below the order, one cancellation of at most about 3x above.  Nothing else
+cancels, so the pair integrals agree with a 30-digit reference to a few
+units of double rounding for theta from 1e-300 to 1e4.  The outer segments
+start at lam = gamma*(1 +- x), so one moment set per coordinate serves all
+pairs of an axis.
 
 All exponential terms are arranged as e^(non-positive exponent) so nothing
 overflows for theta up to at least 1e4.  Pair integrals accept their two
@@ -27,15 +29,16 @@ public names validate their arguments and call it.  Every pair integral
 of a design goes through a per-axis ``_pair_table``; a lone pair of anchors
 goes through ``_pair``.  The Gaussian bodies ``_i3``/``_i4``
 are built by ``_gauss_averages`` from (sqrt, exp, erf, pi), which also
-builds their 40-digit copies from mpmath's functions.
+builds their 40-digit copies from mpmath's functions.  They are the only
+users of ``scipy.special``, imported on their first call, so the other
+families and the two-point forms never load it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Sequence
-
-from scipy.special import erf, gammainc
 
 from .errors import ValidationError
 from .kernels import Family, Kernel, check_point
@@ -109,27 +112,55 @@ def j2(a: float, b: float, theta: float) -> float:
 
 def _gauss_averages(sqrt, exp, erf, pi):
     """Gaussian single-anchor and pair averages in the arithmetic of the four
-    functions: ``math``/``scipy`` for double precision, ``mpmath`` for more.
+    functions: ``math`` with scipy's erf for double precision, ``mpmath`` for more.
 
     The pair average of an anchor with itself at decay rate theta equals the
-    single-anchor average at 2*theta.
+    single-anchor average at 2*theta.  The constants are built once, in the
+    functions' own number type (``exp(0)`` is exactly 1 in both), so mpmath
+    converts no float literal per operation; each is a power of two, exact
+    in both arithmetics, so the values are those of the literals.
     """
+    one = exp(0)
+    half, two, c16, c32 = one / 2, one * 2, one * 16, one * 32
 
     def border(a, theta):
         g = sqrt(theta)
-        return sqrt(pi / (16.0 * theta)) * (erf(g * (1.0 + a)) + erf(g * (1.0 - a)))
+        return sqrt(pi / (c16 * theta)) * (erf(g * (one + a)) + erf(g * (one - a)))
 
     def pair(a, b, theta):
-        mid = 0.5 * (a + b)
-        g2 = sqrt(2.0 * theta)
-        pref = sqrt(pi / (32.0 * theta))
-        decay = exp(-0.5 * theta * (a - b) ** 2)
-        return pref * (erf(g2 * (1.0 + mid)) + erf(g2 * (1.0 - mid))) * decay
+        mid = half * (a + b)
+        g2 = sqrt(two * theta)
+        pref = sqrt(pi / (c32 * theta))
+        decay = exp(-half * theta * (a - b) ** 2)
+        return pref * (erf(g2 * (one + mid)) + erf(g2 * (one - mid))) * decay
 
     return border, pair
 
 
-_i3, _i4 = _gauss_averages(math.sqrt, math.exp, erf, math.pi)
+@cache
+def _gauss_float():
+    """The double-precision Gaussian bodies, built on their first call and bound
+    in place of the ``_i3``/``_i4`` stubs and their dispatch entries.
+
+    They keep scipy's erf, the one use of ``scipy.special``: the scenario's float
+    solve (cond(L) up to 1.6e8, 1 - tr(L^-1 R) near 1e-4) turns a change in the
+    last bits of its R entries into changed output digits.
+    """
+    global _i3, _i4
+    from scipy.special import erf
+
+    _i3, _i4 = _BORDER[Family.GAUSS_P2], _INNER[Family.GAUSS_P2] = _gauss_averages(
+        math.sqrt, math.exp, erf, math.pi
+    )
+    return _i3, _i4
+
+
+def _i3(a, theta):
+    return _gauss_float()[0](a, theta)
+
+
+def _i4(a, b, theta):
+    return _gauss_float()[1](a, b, theta)
 
 
 def i3(a: float, theta: float) -> float:
@@ -182,25 +213,59 @@ def i7(a: float, theta: float) -> float:
 # Matern pair integrals: exact integration on the three segments
 # ---------------------------------------------------------------------------
 
-def _exp_moments(lams: Sequence[float], k: int) -> list[list[float]]:
-    """Integrals of u^j * e^(-2u) over [0, lam] for j = 0..k, for each lam.
+def _series_coeffs(n, x):
+    """Horner coefficients 1/(n + m)!, m = D, ..., 1, of the series sum_m x^m/(n + m)!,
+    D the smallest degree whose dropped tail is below 2^-53 of the sum at x."""
+    total, term, d = 1.0, 1.0, 0  # in units of 1/n!
+    while term * x / (n + d + 1) > 2.0 ** -53 * total * (1.0 - x / (n + d + 2)):
+        d += 1
+        term *= x / (n + d)
+        total += term
+    return tuple(1.0 / math.factorial(n + m) for m in range(d, 0, -1))
 
-    The j = k moments are k!/2^(k+1) * P(k+1, 2*lam), from one ``gammainc``
-    call over the whole sequence; the lower ones follow per lam from
-    m_(j-1) = (2/j) * (m_j + lam^j * e^(-2*lam) / 2), which adds only
-    positive terms.
+
+#: per order n, the series coefficients for each x in [b/8, (b + 1)/8), b = int(8 x) < 8 (n - 1)
+_SERIES = {n: tuple(_series_coeffs(n, (b + 1) / 8.0) for b in range(8 * (n - 1))) for n in (2, 3, 5)}
+#: per order n, (j - 1, 1/j!, j) for j = n, ..., 1
+_LOWER_ORDERS = {n: tuple((j - 1, 1.0 / math.factorial(j), j) for j in range(n, 0, -1)) for n in _SERIES}
+
+
+def _gamma_p(n: int, x: float, scale: Sequence[float]) -> list[float]:
+    """scale[j - 1] * P(j, x) for j = 1..n, P the regularized lower incomplete gamma
+    function, for n in {2, 3, 5} and x >= 0.
+
+    Below x = n - 1 it is e^(-x) x^j sum_m x^m/(j + m)!, a series of positive terms:
+    Horner over the table of x's bucket sums it for j = n, and each further step
+    s_j = x s_(j+1) + 1/j! gives the next order down.  From x = n - 1 on it is
+    1 - e^(-x) sum_(i < j) x^i/i!, whose cancellation costs at most a factor
+    1/P(j, x) < 4.  ``scale`` folds a caller's constants into the same pass.
     """
-    scale = math.factorial(k) / 2.0 ** (k + 1)
-    out = []
-    for lam, p in zip(lams, gammainc(k + 1.0, [2.0 * lam for lam in lams]).tolist()):
-        e = math.exp(-2.0 * lam)
-        m = scale * p
-        ms = [m]
-        for j in range(k, 0, -1):
-            m = (m + 0.5 * lam ** j * e) * 2.0 / j
-            ms.append(m)
-        out.append(ms[::-1])
+    e = math.exp(-x)
+    if x < n - 1:
+        s, out = 0.0, [0.0] * n
+        for c in _SERIES[n][int(8.0 * x)]:
+            s = s * x + c
+        for i, c, j in _LOWER_ORDERS[n]:
+            s = s * x + c
+            out[i] = scale[i] * e * x ** j * s
+        return out
+    out, term, partial = [scale[0] * -math.expm1(-x)], 1.0, 1.0
+    for j in range(1, n):
+        term *= x / j
+        partial += term
+        out.append(scale[j] * (1.0 - e * partial))
     return out
+
+
+#: per moment order k, the j!/2^(j+1), j = 0..k, that turn P(j + 1, 2 lam) into moments
+_MOMENT_SCALES = {k: tuple(math.factorial(j) / 2.0 ** (j + 1) for j in range(k + 1)) for k in (2, 4)}
+
+
+def _exp_moments(lams: Sequence[float], k: int) -> list[list[float]]:
+    """Integrals m_j of u^j * e^(-2u) over [0, lam] for j = 0..k, for each lam:
+    m_j = j!/2^(j+1) * P(j + 1, 2 lam), from one ``_gamma_p`` call per lam."""
+    scales = _MOMENT_SCALES[k]
+    return [_gamma_p(k + 1, 2.0 * lam, scales) for lam in lams]
 
 
 def _m32_pair(s, g, m_lo, m_hi):
@@ -269,6 +334,17 @@ def _pair_table(family: Family, xs: Sequence[float], theta: float):
         return body(g * (xs[j] - xs[i]), g, moments[i], moments[len(xs) + j])
 
     return table
+
+
+def _matern_n2_body(family: Family, x1, x2, theta):
+    """R's body (r11, r22, r12) of two Matern coordinates: entries (0, 0), (1, 1)
+    and (0, 1) of ``_pair_table(family, (x1, x2), theta)``, bit for bit, taken
+    from its four moment sets directly."""
+    body, k, scale = _MATERN_INNER[family]
+    g = math.sqrt(scale * theta)
+    p1, p2, m1, m2 = _exp_moments((g * (1.0 + x1), g * (1.0 + x2), g * (1.0 - x1), g * (1.0 - x2)), k)
+    r12 = body(g * (x1 - x2), g, p2, m1) if x2 < x1 else body(g * (x2 - x1), g, p1, m2)
+    return body(0.0, g, p1, m1), body(0.0, g, p2, m2), r12
 
 
 def _pair(family: Family, a, b, theta):

@@ -412,3 +412,24 @@ def test_design_searches_do_not_load_the_optimizer():
 def test_cli_import_does_not_load_mpmath():
     # mpmath is imported by the scenario's 40-digit solve, not at start-up
     assert _loaded_by_cli_import("mpmath") == "False"
+
+
+def test_only_gaussian_averages_load_scipy_special():
+    # the two-point forms, every search and the exp/Matern assembly use only
+    # elementary functions; the Gaussian n-point averages import scipy's erf on
+    # their first call
+    assert _loaded_by_cli_import("scipy.special") == "False"
+    paths = (
+        "import numpy as np\n"
+        "from imspe_kit import Family, Kernel, build_matrices, optimize_n2\n"
+        "for family in Family:\n"
+        "    kernel = Kernel(family, (1.0,))\n"
+        "    optimize_n2(kernel, 1.0)\n"
+        "    optimize_n2(kernel, 1.0, constraint='symmetric_pair')\n"
+        "design = np.random.default_rng(0).uniform(-1, 1, (5, 2))\n"
+        "for family in (Family.EXP_P1, Family.MATERN32, Family.MATERN52):\n"
+        "    build_matrices(Kernel(family, (1.0, 2.0)), design)"
+    )
+    assert _loaded_by_cli_import("scipy.special", paths) == "False"
+    gauss = paths + "\nbuild_matrices(Kernel(Family.GAUSS_P2, (1.0, 2.0)), design)"
+    assert _loaded_by_cli_import("scipy.special", gauss) == "True"

@@ -271,36 +271,45 @@ def test_two_point_absolute_error_for_theta_below_one(family, log_theta, x1, dat
 
 
 def _record_gammainc(monkeypatch):
-    """Record the argument list of every ``gammainc`` call the integrals make."""
-    calls, real = [], integrals.gammainc
+    """Record the argument 2 lam of every incomplete-gamma (``_gamma_p``) call
+    the integrals make, one per moment set."""
+    calls, real = [], integrals._gamma_p
 
-    def recorded(a, x):
-        calls.append(list(x))
-        return real(a, x)
+    def recorded(n, x, scale):
+        calls.append(x)
+        return real(n, x, scale)
 
-    monkeypatch.setattr(integrals, "gammainc", recorded)
+    monkeypatch.setattr(integrals, "_gamma_p", recorded)
     return calls
 
 
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
 def test_matern_two_point_criterion_takes_one_gammainc_call(family, monkeypatch):
-    # the pair integral and both same-anchor integrals share one table of the
-    # four lam = gamma*(1 +- x): each distinct lam is computed once
+    # the pair integral and both same-anchor integrals share the moment sets of
+    # the four lam = gamma*(1 +- x): each distinct lam is computed once
     calls = _record_gammainc(monkeypatch)
     g = math.sqrt((3.0 if family is Family.MATERN32 else 5.0) * 2.0)
     for x1, x2 in ((0.41, -0.37), (-0.9, 0.2), (0.95, 0.5)):
         calls.clear()
         imspe_n2(Kernel(family, (2.0,)), 2.0, x1, x2)
         lams = [g * (1.0 + x1), g * (1.0 + x2), g * (1.0 - x1), g * (1.0 - x2)]
-        assert calls == [[2.0 * lam for lam in lams]], (x1, x2)
+        assert calls == [2.0 * lam for lam in lams], (x1, x2)
 
 
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
 @pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (9, 3)])
 def test_matern_assembly_takes_one_gammainc_call_per_dimension(family, n, d, monkeypatch):
+    # one moment set per lam = gamma*(1 +- x): 2n per axis, in axis order
     calls = _record_gammainc(monkeypatch)
-    build_matrices(Kernel(family, tuple(np.geomspace(0.5, 9.0, d))), RNG.uniform(-1, 1, (n, d)))
-    assert [len(c) for c in calls] == [2 * n] * d
+    thetas, pts = tuple(np.geomspace(0.5, 9.0, d)), RNG.uniform(-1, 1, (n, d))
+    build_matrices(Kernel(family, thetas), pts)
+    scale = 3.0 if family is Family.MATERN32 else 5.0
+    expected = []
+    for t, xs in zip(thetas, pts.T.tolist()):
+        g = math.sqrt(scale * t)
+        expected += [2.0 * g * (1.0 + x) for x in xs] + [2.0 * g * (1.0 - x) for x in xs]
+    assert len(calls) == 2 * n * d
+    assert calls == expected
 
 
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
@@ -328,7 +337,7 @@ def test_matern_anchor_pair_takes_two_moment_sets(family, monkeypatch):
         ):
             calls.clear()
             assert call().hex() == want.hex(), (thetas, xi, xj)
-            assert calls == lams, (thetas, xi, xj)
+            assert calls == [x for pair in lams for x in pair], (thetas, xi, xj)
 
 
 def test_imspe_against_3x3_adjugate():

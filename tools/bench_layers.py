@@ -13,8 +13,10 @@ Layer numbers (one process per checkout and round):
 * microseconds per ``imspe._n2_closed`` and ``imspe._n2_residual`` call at
   theta in {0.01, 1, 100}, over 3000 fresh random pairs (|x1 - x2| > 1e-3)
   and over 3000 near pairs (|x1 - x2| from 1e-4 to 1e-2, suffix ``.near``);
-* ``integrals.gammainc`` calls, and the values they take, per Matern
-  ``imspe_n2`` evaluation;
+* incomplete-gamma calls, and the values they take, per Matern
+  ``imspe_n2`` evaluation: of ``integrals.gammainc`` where the checkout has
+  it (scipy's, one array call per axis), else of ``integrals._gamma_p``
+  (one call per moment set);
 * ``build_matrices`` time of a Matern n = 2 raster node (theta = 1) and of a
   random n = 200, d = 3 design at theta = (2, 5, 10);
 * one free ``optimize_n2`` search per family at theta = 1, and one
@@ -24,7 +26,11 @@ Layer numbers (one process per checkout and round):
   ``symmetric_pair`` search: its ``ru_maxrss``, and whether it loaded
   ``scipy.optimize``;
 * wall time of a fresh ``python -m imspe_kit.cli optimize --kernel gauss-p2
-  --theta 1 --n 2 --symmetric`` process.
+  --theta 1 --n 2 --symmetric`` process;
+* start-up, in a fresh process: wall time and ``ru_maxrss`` of
+  ``import imspe_kit.cli``, and whether ``scipy.special`` is loaded after
+  the import, after one ``symmetric_pair`` search per family and after a
+  Gaussian ``build_matrices``.
 
 ``--tier1 K`` adds K alternating tier-1 wall times per checkout, and
 ``--e2e WORKLOAD:SEEDS`` adds alternating 25-second perfbench runs, one pair
@@ -58,8 +64,8 @@ METHOD = {
     "over 3000 random pairs (numpy seed 5, |x1 - x2| > 1e-3) and, suffix .near, 3000 near "
     "pairs (x1 uniform on [-0.98, 0.98], |x1 - x2| log-uniform on [1e-4, 1e-2]), smallest "
     "of 5 repeats",
-    "gammainc": "integrals.gammainc calls (and values passed) during one _n2_closed(family, "
-    "2, 0.41, -0.37)",
+    "gammainc": "incomplete-gamma calls (and values passed) during one _n2_closed(family, "
+    "2, 0.41, -0.37): integrals.gammainc where the checkout has it, else integrals._gamma_p",
     "build_matrices": "n2_node: 500 pairs of those, theta = 1, smallest of 5; n200_d3: "
     "uniform design (numpy seed 3), theta = (2, 5, 10), smallest of 3",
     "free_search": "optimize_n2(Kernel(family, (1,)), 1), smallest of 3",
@@ -70,6 +76,11 @@ METHOD = {
     "and 'scipy.optimize' in sys.modules (1 or 0)",
     "symmetric_cli_wall": "wall time of a fresh 'python -m imspe_kit.cli "
     + " ".join(SYMMETRIC_CLI) + "' process, timed by the parent process",
+    "startup": "a fresh process times 'import imspe_kit.cli' (perf_counter) and reads "
+    "ru_maxrss / 1024 after it, then reports 'scipy.special' in sys.modules (1 or 0) after "
+    "the import, after optimize_n2(Kernel(family, (1,)), 1, constraint='symmetric_pair') for "
+    "each family, and after build_matrices(Kernel(gauss-p2, (1, 2)), 5 uniform points, numpy "
+    "seed 0)",
     "golden_sweep_n2": "in-process cli.main of the tools/golden_cli.py 'sweep --n 2' command, "
     "smallest of 3",
     "n2_residual_calls_per_request": "calls of optimize._n2_residual per request of one "
@@ -110,14 +121,15 @@ def measure_layers() -> dict:
                 for suffix, ps in (("", pairs), (".near", near)):
                     t = _best(lambda: [fn(fam, theta, a, b) for a, b in ps], 5)
                     out[f"{name}.{fam.value}.theta={theta:g}{suffix}"] = ("us/call", 1e6 * t / len(ps))
-    real = integrals.gammainc
+    name = "gammainc" if hasattr(integrals, "gammainc") else "_gamma_p"
+    real = getattr(integrals, name)
     for fam in (Family.MATERN32, Family.MATERN52):
         sizes = []
-        integrals.gammainc = lambda a, x: sizes.append(np.size(x)) or real(a, x)
+        setattr(integrals, name, lambda a, x, *rest: sizes.append(np.size(x)) or real(a, x, *rest))
         try:
             _n2_closed(fam, 2.0, 0.41, -0.37)
         finally:
-            integrals.gammainc = real
+            setattr(integrals, name, real)
         out[f"gammainc_calls_per_n2_eval.{fam.value}"] = ("calls", len(sizes))
         out[f"gammainc_values_per_n2_eval.{fam.value}"] = ("values", sum(sizes))
         node = Kernel(fam, (1.0,))
@@ -156,6 +168,31 @@ def measure_symmetric_rss() -> dict:
         "symmetric_search.peak_rss_mb": {"unit": "MB", "value": rss},
         "symmetric_search.scipy_optimize_loaded": {"unit": "bool", "value": loaded},
     }
+
+
+def measure_startup() -> dict:
+    """Import time and peak RSS of ``import imspe_kit.cli`` in a fresh process, and
+    which of the later calls load ``scipy.special``."""
+    import resource
+
+    start = time.perf_counter()
+    import imspe_kit.cli  # noqa: F401  (the start-up the CLI pays)
+
+    out = {
+        "startup.import_s": ("s", time.perf_counter() - start),
+        "startup.import_rss_mb": ("MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0),
+        "startup.scipy_special.after_import": ("bool", int("scipy.special" in sys.modules)),
+    }
+    import numpy as np
+
+    from imspe_kit import Family, Kernel, build_matrices, optimize_n2
+
+    for fam in map(Family, FAMILIES):
+        optimize_n2(Kernel(fam, (1.0,)), 1.0, constraint="symmetric_pair")
+    out["startup.scipy_special.after_searches"] = ("bool", int("scipy.special" in sys.modules))
+    build_matrices(Kernel(Family.GAUSS_P2, (1.0, 2.0)), np.random.default_rng(0).uniform(-1, 1, (5, 2)))
+    out["startup.scipy_special.after_gauss_build"] = ("bool", int("scipy.special" in sys.modules))
+    return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}
 
 
 def _symmetric_cli_wall(root: Path) -> dict:
@@ -264,7 +301,8 @@ def compare(args) -> dict:
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
             root = roots[side]
             runs[side].append(
-                {**_child(root, "layers"), **_child(root, "rss"), **_symmetric_cli_wall(root)}
+                {**_child(root, "layers"), **_child(root, "rss"), **_child(root, "startup"),
+                 **_symmetric_cli_wall(root)}
             )
     first = runs["parent"][0]
     layers = {
@@ -330,6 +368,7 @@ def compare(args) -> dict:
 CHILDREN = {
     "layers": lambda root: measure_layers(),
     "rss": lambda root: measure_symmetric_rss(),
+    "startup": lambda root: measure_startup(),
     "counts": measure_counts,
 }
 

@@ -97,11 +97,11 @@ def _solve_bordered(kernel: Kernel, pts, border, inner) -> ImspeMatrices:
         lambda i, j: 1.0 if i == j else corr_pair(kernel, pts[i], pts[j]),
     )
     big_r = _fill_bordered(np.zeros((n + 1, n + 1)), 1.0, border, inner)
-    cond = _check_cond(float(np.linalg.cond(big_l)))
     try:
+        cond = _check_cond(float(np.linalg.cond(big_l)))
         solved = np.linalg.solve(big_l, big_r)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check fires first
-        raise SolveError(f"linear solve failed: {exc}", cond_estimate=cond) from exc
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"linear solve failed: {exc}") from exc
     value = _check_value(1.0 - float(np.trace(solved)), cond)
     return ImspeMatrices(L=big_l, R=big_r, imspe=value, cond_estimate=cond)
 

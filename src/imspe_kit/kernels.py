@@ -67,23 +67,24 @@ def check_point(coords: Sequence[float], d: int, lo: float = -1.0, hi: float = 1
     return coords
 
 
-def corr1(family: Family, theta: float, dx: float) -> float:
+def corr1(family: Family, theta: float, dx: float, exp=math.exp) -> float:
     """One-dimensional correlation at coordinate difference ``dx``.
 
     The absolute value is taken before any square root so that the Matern
-    forms are evaluated identically on both sides of dx = 0.
+    forms are evaluated identically on both sides of dx = 0.  With
+    ``exp=np.exp`` the same formulas take an array ``dx``.
     """
     r = abs(dx)
     if family is Family.EXP_P1:
-        return math.exp(-theta * r)
+        return exp(-theta * r)
     if family is Family.MATERN32:
         t = math.sqrt(3.0 * theta) * r
-        return (1.0 + t) * math.exp(-t)
+        return (1.0 + t) * exp(-t)
     if family is Family.MATERN52:
         t = math.sqrt(5.0 * theta) * r
-        return (1.0 + t + t * t / 3.0) * math.exp(-t)
+        return (1.0 + t + t * t / 3.0) * exp(-t)
     if family is Family.GAUSS_P2:
-        return math.exp(-theta * r * r)
+        return exp(-theta * r * r)
     raise ValidationError(f"unknown family: {family!r}")
 
 

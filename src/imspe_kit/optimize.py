@@ -22,7 +22,6 @@ solve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -444,6 +443,8 @@ def sweep_theta(
     tasks = [(kernel.family, n, float(t)) for t in theta_grid]
     if parallel <= 1:
         return [_sweep_point(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(_sweep_point, tasks))
 
@@ -490,6 +491,8 @@ def scan_surface(
     if parallel <= 1:
         values = [_scan_eval(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = math.ceil(len(tasks) / (4 * parallel))
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             values = list(pool.map(_scan_eval, tasks, chunksize=chunk))

@@ -120,6 +120,18 @@ def test_near_coincident_gaussian_exit_solver(capsys):
     assert "condition" in err
 
 
+def test_overflowing_decay_rate_exit_solver(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "eval",
+        "--kernel", "matern-3-2",
+        "--theta", "1.7e308,1",
+        "--points", "0.3,0.1;-0.2,0.5",
+    )
+    assert code == EXIT_SOLVER
+    assert err.startswith("solver failure")
+
+
 def test_bad_grid_spec_is_usage_error(capsys):
     code, _, _ = run_cli(
         capsys,
@@ -407,6 +419,11 @@ def test_design_searches_do_not_load_the_optimizer():
         "optimize_n2(kernel, 1.0)"
     )
     assert _loaded_by_cli_import("scipy.optimize", searches) == "False"
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # only sweeps and scans with --parallel above 1 import it
+    assert _loaded_by_cli_import("concurrent.futures.process") == "False"
 
 
 def test_cli_import_does_not_load_mpmath():

@@ -458,6 +458,13 @@ def test_coincident_points_raise():
         imspe_n2(Kernel(Family.GAUSS_P2, (1.0,)), 1.0, 0.3, 0.3)
 
 
+def test_overflowing_decay_rate_is_refused_not_raised_by_numpy():
+    # sqrt(3 theta) overflows, so L holds NaN and the condition number's SVD
+    # fails; that failure is a SolveError like a failed solve
+    with pytest.raises(SolveError):
+        build_matrices(Kernel(Family.MATERN32, (1.7e308, 1.0)), [[0.3, 0.1], [-0.2, 0.5]])
+
+
 def test_near_singular_solve_refused():
     # Gaussian pair separated by 1e-9: 1 - V ~ 1e-18, far beyond the
     # condition ceiling; the solve path must refuse, not fabricate a value

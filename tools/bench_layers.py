@@ -22,6 +22,9 @@ Layer numbers (one process per checkout and round):
 * one free ``optimize_n2`` search per family at theta = 1, and one
   ``symmetric_pair`` search per family at theta in {0.01, 1, 100};
 * in-process wall time of the golden ``sweep --n 2`` commands;
+* microseconds per quadrature-oracle ``border_1d_quad`` (anchor 0.3) and
+  ``inner_1d_quad`` (anchors 0.3, -0.4) per family at theta in
+  {0.01, 1, 100}, and the in-process wall time of ``validate --samples 40``;
 * in a fresh process that imports ``imspe_kit.cli`` and runs one
   ``symmetric_pair`` search: its ``ru_maxrss``, and whether it loaded
   ``scipy.optimize``;
@@ -83,6 +86,9 @@ METHOD = {
     "seed 0)",
     "golden_sweep_n2": "in-process cli.main of the tools/golden_cli.py 'sweep --n 2' command, "
     "smallest of 3",
+    "oracle": "border_1d_quad(family, 0.3, theta) and inner_1d_quad(family, 0.3, -0.4, theta), "
+    "theta in {0.01, 1, 100}, smallest of 10; validate_40: in-process cli.main(['validate', "
+    "'--samples', '40']), smallest of 3",
     "n2_residual_calls_per_request": "calls of optimize._n2_residual per request of one "
     "search-n2 pass, perfbench SearchN2().make_pass(numpy.random.default_rng([1, 0]))",
     "tier1": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, wall time "
@@ -107,7 +113,7 @@ def measure_layers() -> dict:
     """The layer numbers of the package on ``sys.path`` (run in a fresh process)."""
     import numpy as np
 
-    from imspe_kit import Family, Kernel, build_matrices, cli, integrals, optimize_n2
+    from imspe_kit import Family, Kernel, build_matrices, cli, integrals, optimize_n2, oracle
     from imspe_kit.imspe import _n2_closed, _n2_residual
 
     rng = np.random.default_rng(5)
@@ -150,6 +156,13 @@ def measure_layers() -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             t = _best(lambda: cli.main(argv), 3)
         out[f"golden_sweep_n2.{fam.value}"] = ("s", t)
+        for theta in (0.01, 1.0, 100.0):
+            t = _best(lambda: oracle.border_1d_quad(fam, 0.3, theta), 10)
+            out[f"oracle.border_1d_quad.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t)
+            t = _best(lambda: oracle.inner_1d_quad(fam, 0.3, -0.4, theta), 10)
+            out[f"oracle.inner_1d_quad.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t)
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["oracle.validate_40"] = ("s", _best(lambda: cli.main(["validate", "--samples", "40"]), 3))
     return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}
 
 

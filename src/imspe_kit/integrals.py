@@ -29,15 +29,14 @@ public names validate their arguments and call it.  Every pair integral
 of a design goes through a per-axis ``_pair_table``; a lone pair of anchors
 goes through ``_pair``.  The Gaussian bodies ``_i3``/``_i4``
 are built by ``_gauss_averages`` from (sqrt, exp, erf, pi), which also
-builds their 40-digit copies from mpmath's functions.  They are the only
-users of ``scipy.special``, imported on their first call, so the other
-families and the two-point forms never load it.
+builds their 40-digit copies from mpmath's functions.  Their erf is
+``_erf``, a float port of the cephes routine behind ``scipy.special.erf``
+that gives its values bit for bit, so no path loads ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import Sequence
 
 from .errors import ValidationError
@@ -112,7 +111,7 @@ def j2(a: float, b: float, theta: float) -> float:
 
 def _gauss_averages(sqrt, exp, erf, pi):
     """Gaussian single-anchor and pair averages in the arithmetic of the four
-    functions: ``math`` with scipy's erf for double precision, ``mpmath`` for more.
+    functions: ``math`` with ``_erf`` for double precision, ``mpmath`` for more.
 
     The pair average of an anchor with itself at decay rate theta equals the
     single-anchor average at 2*theta.  The constants are built once, in the
@@ -137,30 +136,52 @@ def _gauss_averages(sqrt, exp, erf, pi):
     return border, pair
 
 
-@cache
-def _gauss_float():
-    """The double-precision Gaussian bodies, built on their first call and bound
-    in place of the ``_i3``/``_i4`` stubs and their dispatch entries.
+def _erf(x):
+    """The error function of a float, operation for operation as cephes' ``erf``,
+    which ``scipy.special.erf`` evaluates, so the values are scipy's bit for bit.
 
-    They keep scipy's erf, the one use of ``scipy.special``: the scenario's float
-    solve (cond(L) up to 1.6e8, 1 - tr(L^-1 R) near 1e-4) turns a change in the
-    last bits of its R entries into changed output digits.
+    |x| <= 1 takes the rational form x T(x^2)/U(x^2).  Above, erf = 1 - erfc with
+    erfc = e^(-x^2) P(x)/Q(x) below 8 and e^(-x^2) R(x)/S(x) from 8 on, and 1 once
+    x^2 exceeds log(DBL_MAX) = 709.78; negative x gives -erf(-x).  e^(-x^2) is a
+    plain exp of -x*x, as in the routine scipy builds: cephes' ``expx2``, which
+    splits x^2 for accuracy, gives other last bits.
     """
-    global _i3, _i4
-    from scipy.special import erf
+    a = abs(x)
+    if not a > 1.0:  # |x| <= 1, or NaN
+        z = x * x
+        return x * ((((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
+                       + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z
+                    + 5.55923013010394962768e4) / (((((z + 3.35617141647503099647e1) * z
+                    + 5.21357949780152679795e2) * z + 4.59432382970980127987e3) * z
+                    + 2.26290000613890934246e4) * z + 4.92673942608635921086e4)
+    z = -a * a
+    if z < -7.09782712893383996843e2:
+        return math.copysign(1.0, x)
+    if a < 8.0:
+        p = ((((((((2.46196981473530512524e-10 * a + 5.64189564831068821977e-1) * a
+                   + 7.46321056442269912687e0) * a + 4.86371970985681366614e1) * a
+                 + 1.96520832956077098242e2) * a + 5.26445194995477358631e2) * a
+               + 9.34528527171957607540e2) * a + 1.02755188689515710272e3) * a
+             + 5.57535335369399327526e2)
+        q = ((((((((a + 1.32281951154744992508e1) * a + 8.67072140885989742329e1) * a
+                   + 3.54937778887819891062e2) * a + 9.75708501743205489753e2) * a
+                 + 1.82390916687909736289e3) * a + 2.24633760818710981792e3) * a
+               + 1.65666309194161350182e3) * a + 5.57535340817727675546e2)
+    else:
+        p = (((((5.64189583547755073984e-1 * a + 1.27536670759978104416e0) * a
+                + 5.01905042251180477414e0) * a + 6.16021097993053585195e0) * a
+              + 7.40974269950448939160e0) * a + 2.97886665372100240670e0)
+        q = ((((((a + 2.26052863220117276590e0) * a + 9.39603524938001434673e0) * a
+                + 1.20489539808096656605e1) * a + 1.70814450747565897222e1) * a
+              + 9.60896809063285067018e0) * a + 3.36907645100081516050e0)
+    y = 1.0 - math.exp(z) * p / q
+    return y if x > 0.0 else -y
 
-    _i3, _i4 = _BORDER[Family.GAUSS_P2], _INNER[Family.GAUSS_P2] = _gauss_averages(
-        math.sqrt, math.exp, erf, math.pi
-    )
-    return _i3, _i4
 
-
-def _i3(a, theta):
-    return _gauss_float()[0](a, theta)
-
-
-def _i4(a, b, theta):
-    return _gauss_float()[1](a, b, theta)
+#: the double-precision Gaussian bodies.  They keep scipy's erf values: the
+#: scenario's float solve (cond(L) up to 1.6e8, 1 - tr(L^-1 R) near 1e-4) turns
+#: a change in the last bits of its R entries into changed output digits.
+_i3, _i4 = _gauss_averages(math.sqrt, math.exp, _erf, math.pi)
 
 
 def i3(a: float, theta: float) -> float:

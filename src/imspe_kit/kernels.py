@@ -67,24 +67,26 @@ def check_point(coords: Sequence[float], d: int, lo: float = -1.0, hi: float = 1
     return coords
 
 
-def corr1(family: Family, theta: float, dx: float, exp=math.exp) -> float:
+def corr1(family: Family, theta: float, dx: float, xp=math) -> float:
     """One-dimensional correlation at coordinate difference ``dx``.
 
     The absolute value is taken before any square root so that the Matern
     forms are evaluated identically on both sides of dx = 0.  With
-    ``exp=np.exp`` the same formulas take an array ``dx``.
+    ``xp=numpy`` the same formulas take arrays ``theta`` and ``dx``.  numpy's
+    sqrt is correctly rounded, like ``math``'s; its exp may differ from
+    ``math``'s in the last bit.
     """
     r = abs(dx)
     if family is Family.EXP_P1:
-        return exp(-theta * r)
+        return xp.exp(-theta * r)
     if family is Family.MATERN32:
-        t = math.sqrt(3.0 * theta) * r
-        return (1.0 + t) * exp(-t)
+        t = xp.sqrt(3.0 * theta) * r
+        return (1.0 + t) * xp.exp(-t)
     if family is Family.MATERN52:
-        t = math.sqrt(5.0 * theta) * r
-        return (1.0 + t + t * t / 3.0) * exp(-t)
+        t = xp.sqrt(5.0 * theta) * r
+        return (1.0 + t + t * t / 3.0) * xp.exp(-t)
     if family is Family.GAUSS_P2:
-        return exp(-theta * r * r)
+        return xp.exp(-theta * r * r)
     raise ValidationError(f"unknown family: {family!r}")
 
 

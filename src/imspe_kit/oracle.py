@@ -1,12 +1,14 @@
 """Independent quadrature oracle for cross-validating the closed forms.
 
 Adaptive Simpson quadrature on raw ``corr1`` products, forced to split at the
-anchor points where the exponential/Matern integrands kink.  The quadrature works
-one depth at a time, with one array call of the integrand per depth, and caps
-the number of open intervals so that an integrand that never converges fails
-fast.  No closed form from the rest of the package is reused, so agreement
-between the two paths is meaningful evidence; only the bookkeeping that fills
-a bordered matrix is shared with the fast path.  An adjugate inverse of the
+anchor points where the exponential/Matern integrands kink.  One driver runs a
+batch of integrals one depth at a time, with one array call of the integrand
+per depth for the open intervals of all of them, and caps the number of open
+intervals per integral so that an integrand that never converges fails fast.
+The one-dimensional quadratures take arrays of anchors and theta, so
+``validate`` makes one call per case.  No closed form from the rest of the
+package is reused, so agreement between the two paths is meaningful evidence;
+only the bookkeeping that fills a bordered matrix is shared with the fast path.  An adjugate inverse of the
 3x3 bordered matrix gives a second route to the two-point solve.
 
 The oracle raises :class:`QuadratureError` instead of silently returning a
@@ -25,16 +27,25 @@ from .imspe import _fill_bordered
 from .kernels import Family, Kernel, corr1
 
 _MAX_DEPTH = 60
-#: open intervals one depth may hold (``validate --samples 500`` needs 690, the tests 1,864)
+#: open intervals one integral may hold at one depth (``validate --samples 500``
+#: needs 690 for its widest integral, the tests 1,864)
 _MAX_OPEN = 8192
+#: integrals per driver pass.  ``validate --samples 500`` ran at 32, 64 and 128
+#: within the spread of repeated runs, and about 25 % slower at 16; its peak
+#: traced memory grows with the batch (11.0 MB at 32, 16.0 at 128, 36.5 unbounded)
+_BATCH = 32
 #: per row of ``known``: the rows of (known, mid, fmid, halves) holding it for each child
 _CHILD_ROWS = np.array([0, 1, 7, 8, 1, 2, 3, 4, 9, 10, 4, 5, 11, 12])
 
 
-def quad_adaptive(
-    f: Callable, a: float, b: float, *, abs_tol: float = 1e-12, split_points: Sequence[float] = ()
-) -> float:
-    """Adaptive Simpson integral on [a, b] of ``f``, which maps a 1-d array of nodes to values.
+def _quad_batch(f: Callable, intervals: Sequence[tuple], abs_tol: float) -> list[float]:
+    """Adaptive Simpson integrals, one per ``(a, b, split_points)`` of ``intervals``.
+
+    ``f(x, k)`` maps an array of nodes ``x``, one column per interval, and the
+    index ``k`` of the integral each column belongs to onto the integrand values
+    at the nodes.  The intervals of all the integrals that are open at one depth
+    get their new nodes from one call of ``f``.  Each integral keeps its own
+    tolerance, acceptance and sum, so its value is the one it would get alone.
 
     ``split_points`` are interior kinks of the integrand where panel boundaries are
     forced, so Simpson's rule never straddles a derivative discontinuity at low depth.
@@ -43,72 +54,111 @@ def quad_adaptive(
     delta / 15 (Lyness 1969).  The accepted values are added up in the order of a
     depth-first recursion: each parent as left plus right child, panels left to right.
     """
-    pts = np.array(sorted({a, b, *(p for p in split_points if a < p < b)}), dtype=float)
-    x = np.array([pts[:-1], 0.5 * (pts[:-1] + pts[1:]), pts[1:]])
+    breaks = [sorted({a, b, *(p for p in splits if a < p < b)}) for a, b, splits in intervals]
+    # a == b leaves no panel
+    tol = np.array([abs_tol / max(len(pts) - 1, 1) for pts in breaks])
+    owner = np.array([k for k, pts in enumerate(breaks) for _ in pts[1:]], dtype=np.intp)
+    lo = np.array([p for pts in breaks for p in pts[:-1]], dtype=float)
+    hi = np.array([p for pts in breaks for p in pts[1:]], dtype=float)
+    x = np.array([lo, 0.5 * (lo + hi), hi])
     # one column per open interval: a, m, b, f(a), f(m), f(b) and its Simpson sum
-    known = np.concatenate((x, f(x.ravel()).reshape(x.shape), np.empty_like(x[:1])))
+    known = np.concatenate((x, f(x, owner), np.empty_like(x[:1])))
     known[6] = (x[2] - x[0]) / 6.0 * (known[3] + 4.0 * known[4] + known[5])
-    tol, levels = abs_tol / max(x.shape[1], 1), []  # a == b leaves no panel
+    panel_owner, levels = owner.tolist(), []
     for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (known[0:2] + known[1:3])
-        fmid = f(mid.ravel()).reshape(mid.shape)
+        fmid = f(mid, owner)
         halves = (known[1:3] - known[0:2]) / 6.0 * (known[3:5] + 4.0 * fmid + known[4:6])
         both = halves[0] + halves[1]
         delta = both - known[6]
-        split = ~(np.abs(delta) <= 15.0 * tol)
+        split = ~(np.abs(delta) <= 15.0 * tol[owner])
         levels.append((both + delta / 15.0, split))
         n_open = np.count_nonzero(split)
         if not n_open:
             break
-        if depth == _MAX_DEPTH or 2 * n_open > _MAX_OPEN:
-            i = np.argmax(split)
-            raise QuadratureError(
-                f"adaptive Simpson did not converge on [{known[0, i]}, {known[2, i]}] at depth "
-                f"{depth}, {n_open} intervals open (residual {abs(delta[i]):.3e})"
-            )
+        if depth == _MAX_DEPTH or 2 * n_open > _MAX_OPEN:  # then some integral may fail
+            per_integral = np.bincount(owner[split], minlength=len(breaks))
+            failed = per_integral > 0 if depth == _MAX_DEPTH else 2 * per_integral > _MAX_OPEN
+            if failed.any():
+                k = np.argmax(failed)
+                i = np.argmax(split & (owner == k))
+                raise QuadratureError(
+                    f"adaptive Simpson did not converge on [{known[0, i]}, {known[2, i]}] at "
+                    f"depth {depth}, {per_integral[k]} intervals open (residual {abs(delta[i]):.3e})"
+                )
         # children of the open intervals: all left ones, then all right ones
         known = np.concatenate((known, mid, fmid, halves)).compress(split, axis=1)
         known = known[_CHILD_ROWS].reshape(7, -1)
+        owner = owner[split]
+        owner = np.concatenate((owner, owner))
         tol *= 0.5
     value = levels.pop()[0]
     while levels:
         parent, split = levels.pop()
         parent[split] = value[: len(value) // 2] + value[len(value) // 2 :]
         value = parent
-    total = 0.0
-    for v in value.tolist():
-        total += v
-    return total
+    totals = [0.0] * len(breaks)
+    for k, v in zip(panel_owner, value.tolist()):
+        totals[k] += v
+    return totals
+
+
+def quad_adaptive(
+    f: Callable, a: float, b: float, *, abs_tol: float = 1e-12, split_points: Sequence[float] = ()
+) -> float:
+    """Adaptive Simpson integral on [a, b] of ``f``, which maps a 1-d array of nodes
+    to values: the batch of one of ``_quad_batch``, which says how it is computed."""
+    g = lambda x, k: f(x.ravel()).reshape(x.shape)
+    return _quad_batch(g, [(a, b, split_points)], abs_tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # oracle versions of the basic integrals and R-matrix elements
 # ---------------------------------------------------------------------------
 
-def border_1d_quad(family: Family, a: float, theta: float, *, abs_tol: float = 1e-12) -> float:
-    """Quadrature value of the single-anchor design-average integral."""
-    f = lambda x: corr1(family, theta, a - x, np.exp)
-    return 0.5 * quad_adaptive(f, -1.0, 1.0, abs_tol=abs_tol, split_points=(a,))
+def _anchored_quad(family: Family, lo: float, anchors: tuple, theta, abs_tol: float):
+    """Integral over [lo, 1] of the product over ``anchors`` of ``corr1(family, theta,
+    anchor - x)``, split at the anchors.  Float arguments give a float; equal-length
+    arrays of anchors and theta give an array, one integral per entry, computed
+    ``_BATCH`` integrals per driver pass."""
+    columns = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (*anchors, theta)]
+    out = np.empty(len(columns[-1]))
+    for start in range(0, len(out), _BATCH):
+        *ends, thetas = (c[start : start + _BATCH] for c in columns)
+
+        def f(x, k):
+            t, values = thetas[k], 1.0
+            for e in ends:
+                values = values * corr1(family, t, e[k] - x, np)
+            return values
+
+        splits = zip(*(e.tolist() for e in ends))
+        out[start : start + _BATCH] = _quad_batch(f, [(lo, 1.0, s) for s in splits], abs_tol)
+    return float(out[0]) if np.ndim(theta) == 0 else out
 
 
-def inner_1d_quad(
-    family: Family, a: float, b: float, theta: float, *, abs_tol: float = 1e-12
-) -> float:
-    """Quadrature value of the two-anchor design-average integral."""
-    f = lambda x: corr1(family, theta, a - x, np.exp) * corr1(family, theta, b - x, np.exp)
-    return 0.5 * quad_adaptive(f, -1.0, 1.0, abs_tol=abs_tol, split_points=(a, b))
+def border_1d_quad(family: Family, a, theta, *, abs_tol: float = 1e-12):
+    """Quadrature value of the single-anchor design-average integral; equal-length
+    arrays of ``a`` and ``theta`` give an array of them."""
+    return 0.5 * _anchored_quad(family, -1.0, (a,), theta, abs_tol)
 
 
-def unit_border_1d_quad(a: float, theta: float, *, abs_tol: float = 1e-12) -> float:
-    """Quadrature value of the exponential single-anchor integral on [0, 1]."""
-    f = lambda x: corr1(Family.EXP_P1, theta, a - x, np.exp)
-    return quad_adaptive(f, 0.0, 1.0, abs_tol=abs_tol, split_points=(a,))
+def inner_1d_quad(family: Family, a, b, theta, *, abs_tol: float = 1e-12):
+    """Quadrature value of the two-anchor design-average integral; equal-length
+    arrays of ``a``, ``b`` and ``theta`` give an array of them."""
+    return 0.5 * _anchored_quad(family, -1.0, (a, b), theta, abs_tol)
 
 
-def unit_inner_1d_quad(a: float, b: float, theta: float, *, abs_tol: float = 1e-12) -> float:
-    """Quadrature value of the exponential two-anchor integral on [0, 1]."""
-    f = lambda x: corr1(Family.EXP_P1, theta, a - x, np.exp) * corr1(Family.EXP_P1, theta, b - x, np.exp)
-    return quad_adaptive(f, 0.0, 1.0, abs_tol=abs_tol, split_points=(a, b))
+def unit_border_1d_quad(a, theta, *, abs_tol: float = 1e-12):
+    """Quadrature value of the exponential single-anchor integral on [0, 1]; arrays
+    as in ``border_1d_quad``."""
+    return _anchored_quad(Family.EXP_P1, 0.0, (a,), theta, abs_tol)
+
+
+def unit_inner_1d_quad(a, b, theta, *, abs_tol: float = 1e-12):
+    """Quadrature value of the exponential two-anchor integral on [0, 1]; arrays as
+    in ``inner_1d_quad``."""
+    return _anchored_quad(Family.EXP_P1, 0.0, (a, b), theta, abs_tol)
 
 
 def r_border_quad(kernel: Kernel, xi: Sequence[float], *, abs_tol: float = 1e-12) -> float:
@@ -179,7 +229,7 @@ def mspe_grid_quad(kernel: Kernel, design, n_grid: int = 401) -> float:
     rvec = np.ones((n + 1, pts.shape[1]))
     for i in range(n):
         for t, a, x in zip(kernel.theta, design[i], pts):
-            rvec[1 + i] *= corr1(kernel.family, t, a - x, np.exp)
+            rvec[1 + i] *= corr1(kernel.family, t, a - x, np)
     mspe = 1.0 - np.sum(rvec * np.linalg.solve(_corr_matrix(kernel, design), rvec), axis=0)
     return float(weights @ mspe / weights.sum())
 

@@ -235,3 +235,27 @@ def test_out_of_domain_anchor_rejected():
         integrals.j1(-0.1, 1.0)
     with pytest.raises(ValidationError):
         integrals.i4(0.0, math.nan, 1.0)
+
+
+def test_erf_port_equals_scipy_erf_bit_for_bit():
+    # integrals._erf is cephes' erf, which scipy.special.erf evaluates, written
+    # on floats; the Gaussian averages rely on it giving scipy's values exactly
+    from scipy.special import erf
+
+    rng = np.random.default_rng(11)
+    n = 25_000
+    draws = [
+        rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-8.0, 8.0, n),
+        rng.uniform(-30.0, 30.0, n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, 3.0, n),
+    ]
+    edges = [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.0, 26.5, 26.7, 27.0, 28.0, -27.0]
+    edges += [math.nextafter(v, t) for v in (1.0, -1.0, 8.0) for t in (-math.inf, math.inf)]
+    edges += [1e300, -1e300, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -1e-310, math.nan]
+    x = np.concatenate([*draws, edges])
+    got = np.array([integrals._erf(v) for v in x.tolist()])
+    expected = erf(x)
+    assert np.array_equal(np.isnan(got), np.isnan(x))
+    finite = ~np.isnan(x)
+    assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))

@@ -7,6 +7,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imspe_kit import Family, Kernel, QuadratureError, build_matrices
 from imspe_kit import oracle
@@ -94,6 +95,81 @@ def test_adaptive_simpson_matches_a_depth_first_recursion_bit_for_bit():
         expected = recursive(f, -1.0, a, 5e-13) + recursive(f, a, 1.0, 5e-13)
         got = oracle.quad_adaptive(f, -1.0, 1.0, abs_tol=1e-12, split_points=(a,))
         assert got == expected
+        # three panels, which are added left to right
+        a, b = sorted(rng.uniform(-1, 1, 2))
+        f = lambda x: (1.0 + x * x) / (1.0 + theta * (abs(x - a) + abs(x - b)))
+        tol = 1e-12 / 3
+        expected = recursive(f, -1.0, a, tol) + recursive(f, a, b, tol) + recursive(f, b, 1.0, tol)
+        got = oracle.quad_adaptive(f, -1.0, 1.0, abs_tol=1e-12, split_points=(b, a))
+        assert got == expected
+
+
+#: the oracle's one-dimensional quadratures: (function, family argument, anchor domain, anchors)
+_QUADS = [
+    *((oracle.border_1d_quad, (fam,), -1.0, 1) for fam in Family),
+    *((oracle.inner_1d_quad, (fam,), -1.0, 2) for fam in Family),
+    (oracle.unit_border_1d_quad, (), 0.0, 1),
+    (oracle.unit_inner_1d_quad, (), 0.0, 2),
+]
+
+
+@st.composite
+def _quad_batches(draw):
+    """A quadrature and a batch of 1-40 (anchors..., theta) draws: theta log-uniform
+    on [0.01, 1e4], anchors anywhere in the domain, on its ends, or equal."""
+    quad, family, lo, n_anchors = draw(st.sampled_from(_QUADS))
+    anchor = st.one_of(st.floats(lo, 1.0), st.sampled_from([lo, 1.0]))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        anchors = [draw(anchor)]
+        if n_anchors == 2:
+            anchors.append(draw(st.one_of(anchor, st.just(anchors[0]))))
+        rows.append((*anchors, 10.0 ** draw(st.floats(-2.0, 4.0))))
+    return quad, family, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quad_batches())
+def test_a_batch_equals_its_integrals_one_at_a_time_bit_for_bit(case):
+    # batches above oracle._BATCH integrals take more than one driver pass
+    quad, family, rows = case
+    batch = quad(*family, *map(np.array, zip(*rows)))
+    assert batch.tolist() == [quad(*family, *row) for row in rows]
+
+
+def test_a_batch_names_the_integral_that_cannot_converge():
+    # integral 1 is a lone unit value at x = 0, which keeps one interval open
+    # per depth; the error names its interval and depth as a lone quadrature would
+    f = lambda x, k: np.where(k == 1, x == 0.0, np.sin(x))
+    intervals = [(0.0, math.pi, ()), (0.0, 1.0, ()), (0.0, math.pi, ())]
+    with pytest.raises(QuadratureError) as info:
+        oracle._quad_batch(f, intervals, 1e-12)
+    with pytest.raises(QuadratureError) as alone:
+        oracle.quad_adaptive(lambda x: (x == 0.0).astype(float), 0.0, 1.0, abs_tol=1e-12)
+    assert str(info.value) == str(alone.value)
+    assert re.match(
+        rf"adaptive Simpson did not converge on \[0.0, {2.0 ** -60}\] at depth {oracle._MAX_DEPTH}, "
+        r"1 intervals open \(residual ",
+        str(info.value),
+    )
+
+
+def test_the_open_interval_cap_counts_each_integral_alone(monkeypatch):
+    # 40 integrals whose open intervals together exceed the cap converge as
+    # they do one at a time
+    monkeypatch.setattr(oracle, "_MAX_OPEN", 64)
+    widest = []
+
+    def f(x, k):
+        widest.append(x.shape[1])
+        return np.exp(-np.abs(x - 0.1 * (k % 7)))
+
+    intervals = [(-1.0, 1.0, (0.1 * (k % 7),)) for k in range(40)]
+    got = oracle._quad_batch(f, intervals, 1e-9)
+    assert max(widest) > oracle._MAX_OPEN
+    for k, (a, b, splits) in enumerate(intervals):
+        one = lambda x: np.exp(-np.abs(x - 0.1 * (k % 7)))
+        assert got[k] == oracle.quad_adaptive(one, a, b, abs_tol=1e-9, split_points=splits)
 
 
 def test_imspe_quad_matches_solve_path():

@@ -24,7 +24,12 @@ Layer numbers (one process per checkout and round):
 * in-process wall time of the golden ``sweep --n 2`` commands;
 * microseconds per quadrature-oracle ``border_1d_quad`` (anchor 0.3) and
   ``inner_1d_quad`` (anchors 0.3, -0.4) per family at theta in
-  {0.01, 1, 100}, and the in-process wall time of ``validate --samples 40``;
+  {0.01, 1, 100}, and the in-process wall time of ``validate --samples N``
+  for N in {9, 13, 17, 40, 500};
+* the tracemalloc peak of one in-process ``validate`` request at 13 and at
+  500 samples;
+* microseconds per call of the float erf of the Gaussian averages:
+  ``integrals._erf`` where the checkout has it, else ``scipy.special.erf``;
 * in a fresh process that imports ``imspe_kit.cli`` and runs one
   ``symmetric_pair`` search: its ``ru_maxrss``, and whether it loaded
   ``scipy.optimize``;
@@ -33,7 +38,10 @@ Layer numbers (one process per checkout and round):
 * start-up, in a fresh process: wall time and ``ru_maxrss`` of
   ``import imspe_kit.cli``, and whether ``scipy.special`` is loaded after
   the import, after one ``symmetric_pair`` search per family and after a
-  Gaussian ``build_matrices``.
+  Gaussian ``build_matrices``;
+* ``ru_maxrss`` of a fresh process that imports ``imspe_kit.cli`` and runs
+  ``validate --samples 17``, or ``scan --mode fig``, and whether that loaded
+  ``scipy.special``.
 
 ``--tier1 K`` adds K alternating tier-1 wall times per checkout, and
 ``--e2e WORKLOAD:SEEDS`` adds alternating 25-second perfbench runs, one pair
@@ -53,11 +61,13 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SWEEP_N2 = ["--theta", "1", "--n", "2", "--theta-grid", "0.1:50:6log"]
 FAMILIES = ("exp-p1", "matern-3-2", "matern-5-2", "gauss-p2")
 SYMMETRIC_CLI = ["optimize", "--kernel", "gauss-p2", "--theta", "1", "--n", "2", "--symmetric"]
+VALIDATE_SAMPLES = (9, 13, 17, 40, 500)
 E2E_METRICS = ("setup_s", "ops_per_s", "req_p50_ms", "req_tail_ms", "peak_rss_mb")
 METHOD = {
     "layers": "one fresh process per checkout and round, alternating which runs first; "
@@ -87,8 +97,15 @@ METHOD = {
     "golden_sweep_n2": "in-process cli.main of the tools/golden_cli.py 'sweep --n 2' command, "
     "smallest of 3",
     "oracle": "border_1d_quad(family, 0.3, theta) and inner_1d_quad(family, 0.3, -0.4, theta), "
-    "theta in {0.01, 1, 100}, smallest of 10; validate_40: in-process cli.main(['validate', "
-    "'--samples', '40']), smallest of 3",
+    "theta in {0.01, 1, 100}, smallest of 10; validate_N: in-process cli.main(['validate', "
+    "'--samples', 'N']), smallest of 5 (of 2 for N = 500)",
+    "validate_tracemalloc": "tracemalloc peak of one in-process validate request, tracing "
+    "started after a warm-up request",
+    "erf": "one call per value of 10,000 uniform draws on [-3, 3] (numpy seed 9) of "
+    "integrals._erf, or of scipy.special.erf on a float where the checkout has no _erf, "
+    "smallest of 5",
+    "command_rss": "a fresh process imports imspe_kit.cli, runs cli.main on the command and "
+    "reports ru_maxrss / 1024 and 'scipy.special' in sys.modules (1 or 0)",
     "n2_residual_calls_per_request": "calls of optimize._n2_residual per request of one "
     "search-n2 pass, perfbench SearchN2().make_pass(numpy.random.default_rng([1, 0]))",
     "tier1": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, wall time "
@@ -162,7 +179,19 @@ def measure_layers() -> dict:
             t = _best(lambda: oracle.inner_1d_quad(fam, 0.3, -0.4, theta), 10)
             out[f"oracle.inner_1d_quad.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t)
     with contextlib.redirect_stdout(io.StringIO()):
-        out["oracle.validate_40"] = ("s", _best(lambda: cli.main(["validate", "--samples", "40"]), 3))
+        for n in VALIDATE_SAMPLES:
+            argv = ["validate", "--samples", str(n)]
+            out[f"oracle.validate_{n}"] = ("s", _best(lambda: cli.main(argv), 2 if n > 100 else 5))
+        for n in (13, 500):
+            tracemalloc.start()
+            cli.main(["validate", "--samples", str(n)])
+            out[f"oracle.validate_{n}.tracemalloc_peak_mb"] = ("MB", tracemalloc.get_traced_memory()[1] / 2**20)
+            tracemalloc.stop()
+    erf = getattr(integrals, "_erf", None)
+    if erf is None:
+        from scipy.special import erf
+    xs = np.random.default_rng(9).uniform(-3.0, 3.0, 10_000).tolist()
+    out["erf.per_call"] = ("us/call", 1e6 * _best(lambda: [erf(x) for x in xs], 5) / len(xs))
     return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}
 
 
@@ -206,6 +235,21 @@ def measure_startup() -> dict:
     build_matrices(Kernel(Family.GAUSS_P2, (1.0, 2.0)), np.random.default_rng(0).uniform(-1, 1, (5, 2)))
     out["startup.scipy_special.after_gauss_build"] = ("bool", int("scipy.special" in sys.modules))
     return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}
+
+
+def measure_command_rss(name: str, argv: list[str]) -> dict:
+    """Peak RSS of a fresh process after one CLI command, and whether it loaded
+    ``scipy.special``."""
+    import resource
+
+    from imspe_kit import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    return {
+        f"{name}.peak_rss_mb": {"unit": "MB", "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
+        f"{name}.scipy_special_loaded": {"unit": "bool", "value": int("scipy.special" in sys.modules)},
+    }
 
 
 def _symmetric_cli_wall(root: Path) -> dict:
@@ -315,7 +359,7 @@ def compare(args) -> dict:
             root = roots[side]
             runs[side].append(
                 {**_child(root, "layers"), **_child(root, "rss"), **_child(root, "startup"),
-                 **_symmetric_cli_wall(root)}
+                 **_child(root, "validate_rss"), **_child(root, "fig_rss"), **_symmetric_cli_wall(root)}
             )
     first = runs["parent"][0]
     layers = {
@@ -382,6 +426,8 @@ CHILDREN = {
     "layers": lambda root: measure_layers(),
     "rss": lambda root: measure_symmetric_rss(),
     "startup": lambda root: measure_startup(),
+    "validate_rss": lambda root: measure_command_rss("validate_17", ["validate", "--samples", "17"]),
+    "fig_rss": lambda root: measure_command_rss("fig_scan", ["scan", "--mode", "fig", "--grid=-1:1:21"]),
     "counts": measure_counts,
 }
 

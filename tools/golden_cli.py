@@ -1,7 +1,7 @@
 """Record the output of a fixed list of CLI commands, for a golden diff.
 
 Each command runs in process through ``imspe_kit.cli.main``; its exit code
-and standard output go to ``OUT/<n>.txt`` (n = 1 ... 50, in list order).
+and standard output go to ``OUT/<n>.txt`` (n = 1 ... 51, in list order).
 Record two checkouts and compare them:
 
     python tools/golden_cli.py /tmp/golden-new
@@ -25,11 +25,12 @@ POINTS_3D = "0.1,0.2,-0.3;0.5,-0.6,0.7;-0.8,0.9,0.05;0.3,0.3,0.3"
 
 
 def commands() -> list[list[str]]:
-    """The 50 commands: nine per family, the scenario, probe and validate,
+    """The 51 commands: nine per family, the scenario, probe and validate,
     two-point searches at decay rates where the criterion rounds to a constant,
-    one-point optima at large decay rates, then exp/gauss symmetric searches
-    at theta = 0.01, where the theta-only part C(theta) of the two-point
-    criterion is -248 (exp) and -22 (gauss) against a criterion near 0."""
+    one-point optima at large decay rates, exp/gauss symmetric searches at
+    theta = 0.01, where the theta-only part C(theta) of the two-point
+    criterion is -248 (exp) and -22 (gauss) against a criterion near 0, and
+    a validate whose cases each fill more than one quadrature batch."""
     out = []
     for fam in FAMILIES:
         k = ["--kernel", fam]
@@ -68,6 +69,7 @@ def commands() -> list[list[str]]:
     ]
     for fam in ("exp-p1", "gauss-p2"):
         out.append(["optimize", "--kernel", fam, "--theta", "0.01", "--n", "2", "--symmetric"])
+    out.append(["validate", "--samples", "200"])
     return out
 
 

@@ -8,13 +8,16 @@ variance normalized to 1).
 
 One-dimensional closed forms (n = 1 and n = 2 for every family) sit beside
 the general solve path, with the affine domain rescaling that keeps the
-criterion invariant.  The exponential and Gaussian two-point criteria are
-written once each (``_exp_two_point``, ``_gauss_two_point``), as a theta-only
-constant C(theta) plus a residual of positive terms that cancel at no
-separation.  The design search minimises the residual; the criterion is the
-same terms with C folded into the large ones, so neither loses digits to the
-other.  Both refuse only coincident points.  The Matern two-point criterion
-is the explicit bordered inverse.
+criterion invariant.  Each family's two-point criterion is written once
+(``_N2_FORMS``), with no cancellation at any separation, and all four refuse
+only coincident points.  The exponential and Gaussian forms
+(``_exp_two_point``, ``_gauss_two_point``) split it into a theta-only
+constant C(theta) plus a residual of positive terms; the design search
+minimises the residual, and the criterion is the same terms with C folded
+into the large ones, so neither loses digits to the other.  For the Matern
+families C = 0, and ``_matern_two_point`` writes 1 - rho and the second
+difference of R as integrals of squares over the three segments the points
+cut the domain into.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import numpy as np
 
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
-from .kernels import Family, Kernel, check_point, corr1, corr_pair
+from .kernels import Family, Kernel, check_point, corr_pair
 
-#: condition-number ceiling of L beyond which the solve path and the Matern n = 2
-#: form refuse (the exponential and Gaussian n = 2 forms need no ceiling)
+#: condition-number ceiling of L beyond which the solve path refuses (the
+#: two-point closed forms solve nothing and need no ceiling)
 COND_LIMIT = 1e13
 
 
@@ -257,8 +260,116 @@ def _gauss_two_point(theta, x1, x2, criterion):
     return shared + s2 * (2.0 * d + ef(up) + ef(um)) / (1.0 + d) + s1 * pair
 
 
-#: the families whose two-point criterion and residual come from one cancellation-free body
-_N2_FORMS = {Family.EXP_P1: _exp_two_point, Family.GAUSS_P2: _gauss_two_point}
+def _gamma_ratios(n, s):
+    """P(j, s)/s^j for j = 1..n, P the regularized lower incomplete gamma function:
+    ``integrals._gamma_p`` over s^j above s = 1e-8, else 1/j! - j s/(j + 1)!, exact in
+    double precision there and finite where s^j underflows."""
+    if s > 1e-8:
+        return [p / s**j for j, p in enumerate(integrals._gamma_p(n, s, (1.0, 1.0, 1.0)), 1)]
+    return [(1.0 - j * s / (j + 1)) / math.factorial(j) for j in range(1, n + 1)]
+
+
+def _middle_series(c, q, terms=24):
+    """Coefficients a_n, n = 5..28, of e^s M(s) = sum_n a_n (s/2)^n, M(s) =
+    2 sum_j c_j m_j(s) - 2 e^(-s) sum_i q_i s^i with m_j the moments of
+    ``integrals._exp_moments``, whose terms below s^5 cancel.  The s^n coefficient
+    of e^s m_j(s) is j!/(2^(j + 1) n!) sum_(j < i <= n) C(n, i) 2^i (-1)^(n - i)."""
+    out, fact = [], math.factorial
+    for n in range(5, 5 + terms):
+        alt = [math.comb(n, i) * 2**i * (-1) ** (n - i) for i in range(n + 1)]
+        moments = sum(cj * fact(j) / 2 ** (j + 1) * sum(alt[j + 1 :]) for j, cj in enumerate(c))
+        out.append((moments / fact(n) - (q[n] if n < len(q) else 0.0)) * 2.0 ** (n + 1))
+    return out
+
+
+def _matern_two_point(family, weights):
+    """The two-point criterion, which is also the residual (C(theta) = 0), of the
+    Matern correlation k(u) = sum_n w_n Q(n, u) = p(u) e^(-u) of u = g |x - y|,
+    g = sqrt(3 theta) or sqrt(5 theta), Q = 1 - P, for the (n, w_n) of ``weights``.
+
+    With lo <= hi the points, s = g (hi - lo) and b0 = 1 - rho = sum_n w_n P(n, s) the
+    criterion is 2 - b0/2 - r01 - r02 - N/(2 b0).  The border r0i is (F(g (1 + xi)) +
+    F(g (1 - xi)))/(2 g), F(lam) = integral over [0, lam] of k = sum_j c_j P(j, lam)
+    with c_j = sum_(n >= j) w_n, written as -C expm1(-lam) - e^(-lam) lam t(lam):
+    F >= P(1, lam) = -expm1(-lam), so the subtraction removes at most 5/8 of the first
+    term and F keeps its relative accuracy where g is small (``integrals``' own
+    borders form 1 - e^(-u) and lose it).  And N = r11 + r22 - 2 r12 =
+    (O(g (1 + lo)) + O(g (1 - hi)) + M(s))/(2 g), integrals of squares over the
+    three segments the points cut the domain into.  On an outer
+    segment k(v) - k(v + s) = e^(-v) sum_j b_j v^j with b_j = sum_n w_n P(n - j, s)/j!,
+    all positive, so O(lam) = integral over [0, lam] of (k(v) - k(v + s))^2 =
+    sum_j (b * b)_j m_j(lam).  In the middle, M(s) = integral over [0, s] of
+    (k(v) - k(s - v))^2 is e^(-s) times ``_middle_series`` in s/2 below s = 2, and
+    from s = 2 on 2 sum_j (p * p)_j m_j(s) - 2 e^(-s) Q(s) = A - e^(-2s) B(s) -
+    2 e^(-s) Q(s), the moments in closed form and Q(s) the integral of p(v) p(s - v)
+    over [0, s].  N and b0 are taken over s^2, so their quotient is finite where
+    they underflow.
+    """
+    fact, top = math.factorial, max(n for n, _ in weights)
+    ends = [sum(w for n, w in weights if n > i) for i in range(top)]
+    p = [c / fact(i) for i, c in enumerate(ends)]
+    _, k, scale = integrals._MATERN_INNER[family]
+    root = math.sqrt(scale)
+    # C = sum_j c_j, and t's lam^(i - 1) coefficient sum_(j > i) c_j/i!: t = t0 + t1 lam,
+    # t1 = 0 for 3/2 (top <= 3)
+    total = sum(ends)
+    t0, t1 = [sum(ends[i:]) / fact(i) for i in range(1, top)] + [0.0] * (3 - top)
+    # c = p * p, and Q's s^n coefficient q_n from the Beta integrals of v^i (s - v)^j
+    c, q = [0.0] * (2 * top - 1), [0.0] * (2 * top)
+    for i, a in enumerate(p):
+        for j, b in enumerate(p):
+            c[i + j] += a * b
+            q[i + j + 1] += a * b * fact(i) * fact(j) / fact(i + j + 1)
+    series, two_q = _middle_series(c, q), [2.0 * x for x in q]
+    # m_j(s) = j!/2^(j + 1) (1 - e^(-2s) sum_(i <= j) (2s)^i/i!)
+    big_a = sum(cj * fact(j) / 2**j for j, cj in enumerate(c))
+    big_b = [sum(c[j] * fact(j) / fact(i) / 2 ** (j - i) for j in range(i, len(c))) for i in range(len(c))]
+    # b0/s^2 and b_j/s, j >= 1, as sums of f r[m] s^e, r[m] = P(m + 1, s)/s^(m + 1)
+    d_terms = tuple((w, n - 1, n - 2) for n, w in weights)
+    rows = tuple(tuple((w / fact(j), n - j - 1) for n, w in weights if n > j) for j in range(1, top))
+
+    def form(theta, x1, x2, criterion):
+        lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
+        g = root * math.sqrt(theta)  # finite for every finite theta
+        # from s = 64 on every term that depends on s has its limit in double
+        # precision (e^(-s) s^5 < 1e-19), and the cap keeps the powers of s finite
+        s = min(g * (hi - lo), 64.0)
+        r, pw = _gamma_ratios(top, s), (1.0, s)
+        d = 0.0
+        for f, m, e in d_terms:
+            d += f * r[m] * pw[e]
+        beta = [d * s]
+        for row in rows:
+            b = 0.0
+            for f, m in row:
+                b += f * r[m] * pw[m]
+            beta.append(b)
+        m_lo, m_hi = integrals._exp_moments((g * (1.0 + lo), g * (1.0 - hi)), k)
+        outer = 0.0
+        for i, bi in enumerate(beta):
+            for j, bj in enumerate(beta):
+                outer += bi * bj * (m_lo[i + j] + m_hi[i + j])
+        e = math.exp(-s)
+        if s < 2.0:
+            middle = e * (0.5 * s) ** 3 * _horner(series, 0.5 * s) / 4.0
+        else:
+            middle = (big_a - e * (e * _horner(big_b, s) + _horner(two_q, s))) / (s * s)
+        borders = 0.0
+        for u in (g * (1.0 + x1), g * (1.0 - x1), g * (1.0 + x2), g * (1.0 - x2)):
+            borders -= total * math.expm1(-u) + math.exp(-u) * u * (t0 + t1 * u)
+        borders /= 2.0 * g
+        return 2.0 - 0.5 * s * s * d - borders - (outer + middle) / (4.0 * g * d)
+
+    return form
+
+
+#: the two-point criterion and residual of each family, from one cancellation-free body
+_N2_FORMS = {
+    Family.EXP_P1: _exp_two_point,
+    Family.GAUSS_P2: _gauss_two_point,
+    Family.MATERN32: _matern_two_point(Family.MATERN32, ((2, 1.0),)),
+    Family.MATERN52: _matern_two_point(Family.MATERN52, ((3, 2.0 / 3.0), (2, 1.0 / 3.0))),
+}
 
 
 def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
@@ -266,39 +377,16 @@ def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
     return imspe_n2(Kernel(Family.EXP_P1, (theta,)), theta, x1, x2)
 
 
-def _n2_bordered_form(rho, r01, r02, r11, r22, r12):
-    """Two-point criterion from the explicit inverse of L = [[0,1,1],[1,1,rho],[1,rho,1]]
-    and R's border ``r0i`` and body ``rij``."""
-    return 1.0 + (1.0 + rho) / 2.0 - r01 - r02 - (r11 + r22 - 2.0 * r12) / (2.0 * (1.0 - rho))
-
-
-def _cond_n2(rho: float) -> float:
-    """Exact 2-norm condition number of the two-point L: its eigenvalues are 1 - rho
-    and ((1+rho) +- sqrt((1+rho)^2+8))/2, and for 0 <= rho <= 1 the extremes in
-    magnitude are the positive root and 1 - rho."""
-    lam = 0.5 * (1.0 + rho + math.sqrt((1.0 + rho) ** 2 + 8.0))
-    return lam / (1.0 - rho) if rho < 1.0 else math.inf
-
-
 def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:
-    """``imspe_n2`` of validated points (exp/gauss: the limit at x1 == x2 too)."""
-    form = _N2_FORMS.get(family)
-    if form is not None:
-        return _check_value(form(theta, x1, x2, True), None)
-    rho = corr1(family, theta, x1 - x2)
-    cond = _check_cond(_cond_n2(rho))
-    border, body = integrals._BORDER[family], integrals._matern_n2_body(family, x1, x2, theta)
-    value = _n2_bordered_form(rho, border(x1, theta), border(x2, theta), *body)
-    return _check_value(float(value), cond)
+    """``imspe_n2`` of validated points (also the limit at x1 == x2)."""
+    return _check_value(_N2_FORMS[family](theta, x1, x2, True), None)
 
 
 def imspe_n2(kernel: Kernel, theta: float, x1: float, x2: float) -> float:
-    """Two-point, one-dimensional criterion in closed form for every family:
-    ``_exp_two_point`` or ``_gauss_two_point``, refused only for a coincident pair
-    and within 2e-15 of a high-precision reference for theta >= 0.01 at any
-    separation; for Matern the explicit bordered inverse, under
-    the solve path's ceiling on the exact condition number of L.  ``theta`` must
-    equal ``kernel.theta[0]``."""
+    """Two-point, one-dimensional criterion in closed form for every family
+    (``_exp_two_point``, ``_gauss_two_point``, ``_matern_two_point``): refused only
+    for a coincident pair, and within 2e-15 of a high-precision reference for
+    theta in [0.01, 1] at any separation.  ``theta`` must equal ``kernel.theta[0]``."""
     theta = _kernel_theta(kernel, theta, "two-point form")
     return _n2_closed(kernel.family, theta, *_check_pair(x1, x2))
 
@@ -308,15 +396,11 @@ def _n2_residual(family: Family, theta: float, x1: float, x2: float) -> float:
 
     At large theta the criterion rounds to C while the residual keeps its
     relative accuracy: within 1e-13 relative of a high-precision reference for
-    theta in [1, 1e3] at any separation (``_exp_two_point``, ``_gauss_two_point``).  For
-    the Matern families C = 0 and the residual is ``imspe_n2`` itself.
-    Refuses exactly the pairs ``imspe_n2`` refuses.
+    theta in [1, 1e3] at any separation.  For the Matern families C = 0 and the
+    residual is ``imspe_n2`` itself.  Refuses exactly the pairs ``imspe_n2`` refuses.
     """
     x1, x2 = _check_pair(x1, x2)
-    form = _N2_FORMS.get(family)
-    if form is None:
-        return _n2_closed(family, theta, x1, x2)
-    return _check_value(form(theta, x1, x2, False), None)
+    return _check_value(_N2_FORMS[family](theta, x1, x2, False), None)
 
 
 def domain_transform(

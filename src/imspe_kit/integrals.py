@@ -262,6 +262,8 @@ def _gamma_p(n: int, x: float, scale: Sequence[float]) -> list[float]:
     1/P(j, x) < 4.  ``scale`` folds a caller's constants into the same pass.
     """
     e = math.exp(-x)
+    if e == 0.0:  # every P(j, x) rounds to 1, and x^j may overflow
+        return list(scale)
     if x < n - 1:
         s, out = 0.0, [0.0] * n
         for c in _SERIES[n][int(8.0 * x)]:
@@ -355,17 +357,6 @@ def _pair_table(family: Family, xs: Sequence[float], theta: float):
         return body(g * (xs[j] - xs[i]), g, moments[i], moments[len(xs) + j])
 
     return table
-
-
-def _matern_n2_body(family: Family, x1, x2, theta):
-    """R's body (r11, r22, r12) of two Matern coordinates: entries (0, 0), (1, 1)
-    and (0, 1) of ``_pair_table(family, (x1, x2), theta)``, bit for bit, taken
-    from its four moment sets directly."""
-    body, k, scale = _MATERN_INNER[family]
-    g = math.sqrt(scale * theta)
-    p1, p2, m1, m2 = _exp_moments((g * (1.0 + x1), g * (1.0 + x2), g * (1.0 - x1), g * (1.0 - x2)), k)
-    r12 = body(g * (x1 - x2), g, p2, m1) if x2 < x1 else body(g * (x2 - x1), g, p1, m2)
-    return body(0.0, g, p1, m1), body(0.0, g, p2, m2), r12
 
 
 def _pair(family: Family, a, b, theta):

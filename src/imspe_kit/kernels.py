@@ -84,7 +84,10 @@ def corr1(family: Family, theta: float, dx: float, xp=math) -> float:
         return (1.0 + t) * xp.exp(-t)
     if family is Family.MATERN52:
         t = xp.sqrt(5.0 * theta) * r
-        return (1.0 + t + t * t / 3.0) * xp.exp(-t)
+        k = (1.0 + t + t * t / 3.0) * xp.exp(-t)
+        # near t = 2e-8 the product rounds one ulp above 1; the scalar value is
+        # capped, the arrays of the quadrature integrands are left as computed
+        return min(k, 1.0) if xp is math else k
     if family is Family.GAUSS_P2:
         return xp.exp(-theta * r * r)
     raise ValidationError(f"unknown family: {family!r}")

@@ -373,8 +373,8 @@ def optimize_n2(
 
     Converged reports were checked against a high-precision grid (value at
     or below every symmetric grid pair, x1 within 1e-4 of the true optimum)
-    up to theta = 1100 for the exponential family, 2000 for the Gaussian and
-    400 for the Matern families.  Beyond those the residual has no
+    up to theta = 1100 for the exponential family, 2000 for the Gaussian,
+    400 for Matern 3/2 and 350 for Matern 5/2.  Beyond those the residual has no
     curvature left in double precision, and on a scan of theta up to 1e4
     every report there said ``converged=False``.
     """

@@ -161,22 +161,27 @@ def unit_inner_1d_quad(a, b, theta, *, abs_tol: float = 1e-12):
     return _anchored_quad(Family.EXP_P1, 0.0, (a, b), theta, abs_tol)
 
 
+def _axis_products(quad, kernel: Kernel, entries, abs_tol: float) -> list[float]:
+    """For each tuple of points in ``entries``, the product over the axes, in axis
+    order, of ``quad(family, *coordinates, theta)``, from one array call for all of
+    them; a batch gives each integral its lone value, so every product is too."""
+    d = kernel.d
+    columns = [np.array([p[k] for p in points for k in range(d)], dtype=float) for points in zip(*entries)]
+    thetas = np.tile(np.asarray(kernel.theta, dtype=float), len(entries))
+    values = quad(kernel.family, *columns, thetas, abs_tol=abs_tol).reshape(len(entries), d)
+    return [math.prod(row, start=1.0) for row in values.tolist()]
+
+
 def r_border_quad(kernel: Kernel, xi: Sequence[float], *, abs_tol: float = 1e-12) -> float:
     """Border element of the averaged matrix, dimension by dimension."""
-    out = 1.0
-    for t, a in zip(kernel.theta, xi):
-        out *= border_1d_quad(kernel.family, float(a), t, abs_tol=abs_tol)
-    return out
+    return _axis_products(border_1d_quad, kernel, [(xi,)], abs_tol)[0]
 
 
 def r_inner_quad(
     kernel: Kernel, xi: Sequence[float], xj: Sequence[float], *, abs_tol: float = 1e-12
 ) -> float:
     """Body element of the averaged matrix, dimension by dimension."""
-    out = 1.0
-    for t, a, b in zip(kernel.theta, xi, xj):
-        out *= inner_1d_quad(kernel.family, float(a), float(b), t, abs_tol=abs_tol)
-    return out
+    return _axis_products(inner_1d_quad, kernel, [(xi, xj)], abs_tol)[0]
 
 
 def _corr_matrix(kernel: Kernel, design: np.ndarray) -> np.ndarray:
@@ -198,17 +203,17 @@ def imspe_quad(kernel: Kernel, design, *, abs_tol: float = 1e-12) -> float:
     """Integrated MSPE via the bordered-trace identity with quadrature elements.
 
     Same linear algebra as the fast path, but every averaged-matrix entry
-    comes from adaptive quadrature instead of the closed forms.
+    comes from adaptive quadrature instead of the closed forms: the border
+    entries from one batched quadrature call, the body entries from another.
     """
     design = np.asarray(design, dtype=float)
     n = design.shape[0]
     big_l = _corr_matrix(kernel, design)
-    big_r = _fill_bordered(
-        np.zeros((n + 1, n + 1)),
-        1.0,
-        lambda i: r_border_quad(kernel, design[i], abs_tol=abs_tol),
-        lambda i, j: r_inner_quad(kernel, design[i], design[j], abs_tol=abs_tol),
-    )
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    border = _axis_products(border_1d_quad, kernel, [(p,) for p in design], abs_tol)
+    entries = [(design[i], design[j]) for i, j in pairs]
+    inner = dict(zip(pairs, _axis_products(inner_1d_quad, kernel, entries, abs_tol)))
+    big_r = _fill_bordered(np.zeros((n + 1, n + 1)), 1.0, border.__getitem__, lambda i, j: inner[i, j])
     return 1.0 - float(np.trace(np.linalg.solve(big_l, big_r)))
 
 

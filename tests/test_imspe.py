@@ -1,6 +1,7 @@
 """Bordered-matrix criterion: closed forms, symmetries, and conditioning."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -23,9 +24,9 @@ from imspe_kit import (
     imspe_n2,
     imspe_quadratic,
 )
-from imspe_kit.imspe import COND_LIMIT, _cond_n2, _n2_residual
+from imspe_kit.imspe import COND_LIMIT, _n2_residual
 from imspe_kit.oracle import inverse_sym_3x3, trace_of_product_sym
-from test_optimize import _residual_mp, _theta_constant
+from test_optimize import _digits, _mp_corr, _residual_mp, _residual_quad, _theta_constant
 
 ALL_FAMILIES = list(Family)
 RNG = np.random.default_rng(11)
@@ -112,10 +113,8 @@ def test_imspe_n2_dispatch(family):
     assert type(direct) is float
     assert direct == pytest.approx(build_matrices(k, [[0.5], [-0.4]]).imspe, abs=1e-12)
     # random and near-coincident pairs: same value as the solve path within
-    # its conditioning bound wherever the solve answers.  Matern pairs also
-    # share its refusals away from the ceiling (the pairs one ulp to 1e-14
-    # apart are refused by both); exponential and Gaussian pairs are never
-    # refused
+    # its conditioning bound wherever the solve answers, and an answer for
+    # every pair, also those one ulp to 1e-14 apart that the solve refuses
     tiny = [
         (theta, 0.3, x2)
         for theta in (0.01, 1.0, 1000.0)
@@ -123,26 +122,13 @@ def test_imspe_n2_dispatch(family):
     ]
     for theta, x1, x2 in _n2_designs(np.random.default_rng(17), 200) + tiny:
         kt = Kernel(family, (theta,))
+        value = imspe_n2(kt, theta, x1, x2)
+        assert type(value) is float and math.isfinite(value), (theta, x1, x2)
         try:
             solved = build_matrices(kt, [[x1], [x2]])
-        except SolveError as exc:
-            solved, cond = None, exc.cond_estimate
-        else:
-            cond = solved.cond_estimate
-        try:
-            value = imspe_n2(kt, theta, x1, x2)
         except SolveError:
-            value = None
-        if family in _RESIDUAL_FAMILIES:
-            assert value is not None, (theta, x1, x2)
-        elif abs(cond / COND_LIMIT - 1.0) <= 0.01:
             continue
-        else:
-            assert (value is None) == (solved is None), (theta, x1, x2, cond)
-        if solved is None:
-            continue
-        assert type(value) is float
-        assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * cond, (theta, x1, x2)
+        assert abs(value - solved.imspe) <= 1e-12 + 1e-14 * solved.cond_estimate, (theta, x1, x2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +256,76 @@ def test_two_point_absolute_error_for_theta_below_one(family, log_theta, x1, dat
     assert err <= _SMALL_THETA_ABS and rel <= 1e-13, (theta, x1, x2, rel, err)
 
 
+# ---------------------------------------------------------------------------
+# Matern two-point forms against a high-precision quadrature
+# ---------------------------------------------------------------------------
+
+_MATERN = (Family.MATERN32, Family.MATERN52)
+
+
+def _matern_criterion_quad(family, theta, x1, x2):
+    """60-digit quadrature criterion of a Matern pair, 2 - b0/2 - r01 - r02 - N/(2 b0)
+    with b0 = 1 - rho and N = (1/2) integral of (k(x1, x) - k(x2, x))^2, each by
+    mpmath.quad split at the anchors.  b0 and the difference of the two correlations
+    are evaluated with the digits of ``_digits``, so neither loses digits to
+    cancellation, and N is integrated over b0, so that the quadrature's absolute
+    tolerance is relative to it."""
+    inner = _digits(family, theta, abs(x1 - x2)) + 10
+    with mp.workdps(inner):
+        corr = _mp_corr(family, mp.mpf(theta))
+        b0 = 1 - corr(mp.mpf(x1), mp.mpf(x2))
+
+    def scaled_square(x):
+        with mp.workdps(inner):
+            d = corr(x1, x) - corr(x2, x)
+        return d * d / b0
+
+    with mp.workdps(60):
+        nodes = [-1, min(x1, x2), max(x1, x2), 1]
+        r01, r02, n = (
+            mp.quad(f, nodes) / 2 for f in (lambda x: corr(x1, x), lambda x: corr(x2, x), scaled_square)
+        )
+        return 2 - b0 / 2 - r01 - r02 - n / 2
+
+
+@pytest.mark.parametrize("family", _MATERN)
+@settings(max_examples=30, deadline=None)
+@given(
+    log_theta=st.floats(min_value=math.log(0.01), max_value=math.log(1e3)),
+    x1=st.floats(min_value=-1.0, max_value=1.0),
+    data=st.data(),
+)
+def test_matern_two_point_criterion_matches_quadrature(family, log_theta, x1, data):
+    # 2e-15 absolute for theta in [0.01, 1], 1e-13 relative above; the
+    # bordered inverse this replaced erred by up to 7e-5 on such pairs and
+    # refused those closer than about 1e-6/sqrt(theta)
+    x2 = _pair_near(data, x1)
+    assume(x1 != x2)
+    theta = math.exp(log_theta)
+    ref = _matern_criterion_quad(family, theta, x1, x2)
+    got = imspe_n2(Kernel(family, (theta,)), theta, x1, x2)
+    assert _n2_residual(family, theta, x1, x2) == got
+    err = float(abs(got - ref))
+    bound = _SMALL_THETA_ABS if theta <= 1.0 else 1e-13 * float(ref)
+    assert err <= bound, (theta, x1, x2, err)
+
+
+@pytest.mark.parametrize("family", _MATERN)
+@pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-10, 1e-20, 1e-300, 5e-324])
+def test_matern_small_theta_criterion_is_accurate(family, theta):
+    # the bordered inverse gave 1.7e-10 for 1.04e-12 (5/2, theta = 1e-6) here,
+    # and -2.1e-5 for 1.0e-20 at theta = 1e-10.  The borders r0i tend to 1 as
+    # theta shrinks and the criterion to 0 (1.04 theta^2 for 5/2), so the
+    # bound is absolute: each border must keep its relative accuracy.  From
+    # theta = 1e-300 on the criterion is below 1e-500 (a 650-digit quadrature
+    # rounds it to 0) and the reference is 0
+    pairs = [(0.3, -0.2), (-1.0, 1.0), (0.9, math.nextafter(0.9, 1.0))]
+    for x1, x2 in pairs if theta < 1e-8 else pairs[:1]:
+        ref = _residual_quad(family, theta, x1, x2) if theta > 1e-100 else 0.0
+        got = imspe_n2(Kernel(family, (theta,)), theta, x1, x2)
+        assert abs(got - ref) <= _SMALL_THETA_ABS, (theta, x1, x2, got)
+
+
 def _record_gammainc(monkeypatch):
     """Record the argument 2 lam of every incomplete-gamma (``_gamma_p``) call
     the integrals make, one per moment set."""
@@ -285,15 +341,17 @@ def _record_gammainc(monkeypatch):
 
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
 def test_matern_two_point_criterion_takes_one_gammainc_call(family, monkeypatch):
-    # the pair integral and both same-anchor integrals share the moment sets of
-    # the four lam = gamma*(1 +- x): each distinct lam is computed once
+    # one incomplete-gamma call at the gap s = gamma*|x1 - x2| for 1 - rho and
+    # the outer-segment coefficients, and one moment set per outer segment, at
+    # lam = gamma*(1 + lo) and gamma*(1 - hi); a gap below 1e-8 takes no call
     calls = _record_gammainc(monkeypatch)
-    g = math.sqrt((3.0 if family is Family.MATERN32 else 5.0) * 2.0)
-    for x1, x2 in ((0.41, -0.37), (-0.9, 0.2), (0.95, 0.5)):
+    g = math.sqrt(3.0 if family is Family.MATERN32 else 5.0) * math.sqrt(2.0)
+    for x1, x2 in ((0.41, -0.37), (-0.9, 0.2), (0.95, 0.5), (0.3, 0.3 + 1e-9)):
         calls.clear()
         imspe_n2(Kernel(family, (2.0,)), 2.0, x1, x2)
-        lams = [g * (1.0 + x1), g * (1.0 + x2), g * (1.0 - x1), g * (1.0 - x2)]
-        assert calls == [2.0 * lam for lam in lams], (x1, x2)
+        lo, hi = min(x1, x2), max(x1, x2)
+        gap = [g * (hi - lo)] if g * (hi - lo) > 1e-8 else []
+        assert calls == gap + [2.0 * g * (1.0 + lo), 2.0 * g * (1.0 - hi)], (x1, x2)
 
 
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])
@@ -354,15 +412,6 @@ def test_stiff_matern_pair_matches_40_digit_value():
     assert abs(value - 1.4658850702157534) <= 1e-14
     value = imspe_n2(Kernel(Family.MATERN52, (3000.0,)), 3000.0, 0.9, 0.95)
     assert abs(value - 1.4658850702157534) <= 1e-14
-
-
-def test_closed_form_condition_number_matches_svd():
-    # rho from 0 up to where cond(L) = (1 + sqrt(3)) / (1 - rho) reaches 1e10
-    last_gap = (1.0 + math.sqrt(3.0)) / 1e10
-    gaps = np.concatenate([np.linspace(1.0, 0.1, 100), np.geomspace(0.1, last_gap, 100)])
-    for rho in 1.0 - gaps:
-        big_l = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, rho], [1.0, rho, 1.0]])
-        assert _cond_n2(rho) == pytest.approx(float(np.linalg.cond(big_l)), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +512,16 @@ def test_overflowing_decay_rate_is_refused_not_raised_by_numpy():
     # fails; that failure is a SolveError like a failed solve
     with pytest.raises(SolveError):
         build_matrices(Kernel(Family.MATERN32, (1.7e308, 1.0)), [[0.3, 0.1], [-0.2, 0.5]])
+
+
+@pytest.mark.parametrize("family", _MATERN)
+def test_matern_two_point_answers_at_huge_decay_rates(family):
+    # gamma |x1 - x2| up to 1e154, to the largest float theta: the powers of
+    # the gap and the moments' x^j e^(-x) stay finite, and a separated pair
+    # tends to 3/2
+    for theta in (1e100, 1e200, 1e300, 1e307, sys.float_info.max):
+        for x1, x2 in ((0.3, -0.2), (0.9, 0.95), (-1.0, 1.0)):
+            assert imspe_n2(Kernel(family, (theta,)), theta, x1, x2) == 1.5, (theta, x1, x2)
 
 
 def test_near_singular_solve_refused():

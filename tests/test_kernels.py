@@ -32,6 +32,14 @@ def test_corr1_even_bounded_positive(family, theta, dx):
     assert v == corr1(family, theta, -dx)
 
 
+def test_matern52_corr1_never_rounds_above_one():
+    # near t = sqrt(5 theta)|dx| = 2e-8 the product (1 + t + t^2/3) e^(-t)
+    # rounds to 1 + 2^-52 unless it is capped
+    dxs = [10.0 ** (-9.0 + i / 500.0) for i in range(1000)]
+    assert corr1(Family.MATERN52, 83.0, 1e-9) <= 1.0
+    assert max(corr1(Family.MATERN52, 1.0, dx) for dx in dxs) <= 1.0
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_corr1_decreases_with_separation(family):
     seps = [0.0, 0.1, 0.3, 0.7, 1.5, 2.0]

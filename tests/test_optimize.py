@@ -137,20 +137,26 @@ def test_n2_beats_coincident_pair():
 
 
 def _theta_constant(family, t):
-    """The theta-only part C(theta) of the two-point criterion, in mpmath."""
+    """The theta-only part C(theta) of the two-point criterion, in mpmath (0 for
+    the Matern families)."""
     if family is Family.EXP_P1:
         return mp.mpf(3) / 2 - 5 / (2 * t)
-    return mp.mpf(3) / 2 - 4 * mp.sqrt(mp.pi / (16 * t)) - 2 * mp.sqrt(mp.pi / (32 * t))
+    if family is Family.GAUSS_P2:
+        return mp.mpf(3) / 2 - 4 * mp.sqrt(mp.pi / (16 * t)) - 2 * mp.sqrt(mp.pi / (32 * t))
+    return mp.mpf(0)
+
+
+_DECAY = {Family.EXP_P1: 0.28, Family.GAUSS_P2: 0.15}
 
 
 def _digits(family, theta, gap=1.0):
     """Working digits for a reference residual: C(theta) plus about 16 digits
     of a residual that decays like e^(-0.65 theta) (exp) or e^(-0.35 theta)
-    (Gaussian) at the optimum, plus two per decade of a pair gap below 1,
-    which the bordered solve loses to 1 - rho and to the second differences
-    of R."""
-    close = max(0, -2 * math.floor(math.log10(gap)))
-    return 50 + int((0.28 if family is Family.EXP_P1 else 0.15) * theta) + close
+    (Gaussian) at the optimum, plus two per decade of min(theta, 1) times a pair
+    gap below 1, which the bordered solve loses to 1 - rho and to the second
+    differences of R (1 - rho shrinks with theta as well as with the gap)."""
+    close = max(0, -2 * math.floor(math.log10(min(theta, 1.0)) + math.log10(gap)))
+    return 50 + int(_DECAY.get(family, 0.0) * theta) + close
 
 
 def _bordered_residual(family, t, rho, r01, r02, r11, r22, r12):
@@ -161,14 +167,22 @@ def _bordered_residual(family, t, rho, r01, r02, r11, r22, r12):
     return 1 - (s[0, 0] + s[1, 1] + s[2, 2]) - _theta_constant(family, t)
 
 
+def _mp_corr(family, t):
+    """The correlation of two points in mpmath at decay rate ``t``."""
+    if family is Family.EXP_P1:
+        return lambda u, v: mp.exp(-t * abs(u - v))
+    if family is Family.GAUSS_P2:
+        return lambda u, v: mp.exp(-t * (u - v) ** 2)
+    g = mp.sqrt((3 if family is Family.MATERN32 else 5) * t)
+    poly = (lambda w: 1 + w) if family is Family.MATERN32 else (lambda w: 1 + w + w * w / 3)
+    return lambda u, v: poly(g * abs(u - v)) * mp.exp(-g * abs(u - v))
+
+
 def _residual_quad(family, theta, x1, x2):
     """Reference residual with R entries by mpmath.quad split at the anchors."""
-    with mp.workdps(_digits(family, theta)):
+    with mp.workdps(_digits(family, theta, abs(x1 - x2))):
         t, a, b = mp.mpf(theta), mp.mpf(x1), mp.mpf(x2)
-        if family is Family.EXP_P1:
-            corr = lambda u, v: mp.exp(-t * abs(u - v))
-        else:
-            corr = lambda u, v: mp.exp(-t * (u - v) ** 2)
+        corr = _mp_corr(family, t)
         nodes = [-1, min(a, b), max(a, b), 1]
         avg = lambda f: mp.quad(f, nodes) / 2
         return _bordered_residual(

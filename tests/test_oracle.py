@@ -194,6 +194,36 @@ def test_imspe_quad_two_dimensional():
     )
 
 
+def test_imspe_quad_takes_its_entries_from_two_batched_calls(monkeypatch):
+    # one border and one body call for the whole matrix, and each entry the
+    # lone quadrature's value: the product of one-anchor calls per axis
+    kernel = Kernel(Family.MATERN52, (0.7, 3.0, 40.0))
+    design = np.random.default_rng(5).uniform(-1, 1, (4, 3))
+    lone_border = lambda p: math.prod(
+        (oracle.border_1d_quad(kernel.family, float(a), t) for t, a in zip(kernel.theta, p)), start=1.0
+    )
+    lone_inner = lambda p, q: math.prod(
+        (oracle.inner_1d_quad(kernel.family, float(a), float(b), t) for t, a, b in zip(kernel.theta, p, q)),
+        start=1.0,
+    )
+    big_l = oracle._corr_matrix(kernel, design)
+    big_r = oracle._fill_bordered(
+        np.zeros((5, 5)), 1.0, lambda i: lone_border(design[i]), lambda i, j: lone_inner(design[i], design[j])
+    )
+    expected = 1.0 - float(np.trace(np.linalg.solve(big_l, big_r)))
+    border, inner = lone_border(design[1]), lone_inner(design[1], design[2])
+    calls = []
+    for name in ("border_1d_quad", "inner_1d_quad"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+    assert oracle.imspe_quad(kernel, design) == expected
+    assert calls == ["border_1d_quad", "inner_1d_quad"]
+    calls.clear()
+    assert oracle.r_border_quad(kernel, design[1]) == border
+    assert oracle.r_inner_quad(kernel, design[1], design[2]) == inner
+    assert calls == ["border_1d_quad", "inner_1d_quad"]
+
+
 def test_mspe_grid_quad_agrees_coarsely():
     # brute-force trapezoid average of the pointwise error; slow convergence,
     # so only coarse agreement is expected

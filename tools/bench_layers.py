@@ -11,8 +11,11 @@ range over the rounds:
 Layer numbers (one process per checkout and round):
 
 * microseconds per ``imspe._n2_closed`` and ``imspe._n2_residual`` call at
-  theta in {0.01, 1, 100}, over 3000 fresh random pairs (|x1 - x2| > 1e-3)
-  and over 3000 near pairs (|x1 - x2| from 1e-4 to 1e-2, suffix ``.near``);
+  theta in {0.01, 1, 100}, and for the Matern families also at 1e-4 and 0.1,
+  over 3000 fresh random pairs (|x1 - x2| > 1e-3), over 3000 near pairs
+  (|x1 - x2| from 1e-4 to 1e-2, suffix ``.near``) and over 3000 close pairs
+  (|x1 - x2| from 1e-9 to 1e-6, suffix ``.close``), with the number of pairs
+  each refuses;
 * incomplete-gamma calls, and the values they take, per Matern
   ``imspe_n2`` evaluation: of ``integrals.gammainc`` where the checkout has
   it (scipy's, one array call per axis), else of ``integrals._gamma_p``
@@ -46,7 +49,8 @@ Layer numbers (one process per checkout and round):
 ``--tier1 K`` adds K alternating tier-1 wall times per checkout, and
 ``--e2e WORKLOAD:SEEDS`` adds alternating 25-second perfbench runs, one pair
 per seed (``31-40`` or ``1,4,9``).  The per-request ``_n2_residual`` counts of
-one search-n2 pass (perfbench seed ``[1, 0]``) and ``src.lines.total`` are
+one search-n2 pass (perfbench seed ``[1, 0]``) and the non-blank lines of each
+module of ``src/imspe_kit`` (``src.lines.*``, as perfbench counts them) are
 counts and are taken once per checkout.
 """
 
@@ -73,10 +77,12 @@ METHOD = {
     "layers": "one fresh process per checkout and round, alternating which runs first; "
     "each number is the smallest of several repeats inside the process; median and range "
     "over the rounds",
-    "n2_eval": "_n2_closed / _n2_residual(family, theta, x1, x2), theta in {0.01, 1, 100}, "
-    "over 3000 random pairs (numpy seed 5, |x1 - x2| > 1e-3) and, suffix .near, 3000 near "
-    "pairs (x1 uniform on [-0.98, 0.98], |x1 - x2| log-uniform on [1e-4, 1e-2]), smallest "
-    "of 5 repeats",
+    "n2_eval": "_n2_closed / _n2_residual(family, theta, x1, x2), theta in {0.01, 1, 100} "
+    "and for the Matern families also {1e-4, 0.1}, over 3000 random pairs (numpy seed 5, "
+    "|x1 - x2| > 1e-3), suffix .near, 3000 near pairs (x1 uniform on [-0.98, 0.98], "
+    "|x1 - x2| log-uniform on [1e-4, 1e-2]) and, suffix .close, 3000 close pairs (the same "
+    "x1, |x1 - x2| log-uniform on [1e-9, 1e-6]); smallest of 5 repeats, each call inside a "
+    "try that counts the ImspeKitError refusals (n2_refused.*)",
     "gammainc": "incomplete-gamma calls (and values passed) during one _n2_closed(family, "
     "2, 0.41, -0.37): integrals.gammainc where the checkout has it, else integrals._gamma_p",
     "build_matrices": "n2_node: 500 pairs of those, theta = 1, smallest of 5; n200_d3: "
@@ -130,20 +136,37 @@ def measure_layers() -> dict:
     """The layer numbers of the package on ``sys.path`` (run in a fresh process)."""
     import numpy as np
 
-    from imspe_kit import Family, Kernel, build_matrices, cli, integrals, optimize_n2, oracle
+    from imspe_kit import Family, ImspeKitError, Kernel, build_matrices, cli, integrals, oracle
+    from imspe_kit import optimize_n2
     from imspe_kit.imspe import _n2_closed, _n2_residual
 
     rng = np.random.default_rng(5)
     pairs = [p for p in rng.uniform(-1, 1, (4000, 2)).tolist() if abs(p[0] - p[1]) > 1e-3][:3000]
-    gaps = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-4, -2, 3000)
-    near = [(a, a + g) for a, g in zip(rng.uniform(-0.98, 0.98, 3000).tolist(), gaps.tolist())]
+    sign = rng.choice([-1.0, 1.0], 3000)
+    starts = rng.uniform(-0.98, 0.98, 3000).tolist()
+    near = [(a, a + g) for a, g in zip(starts, (sign * 10.0 ** rng.uniform(-4, -2, 3000)).tolist())]
+    gaps = sign * 10.0 ** rng.uniform(-9, -6, 3000)
+    close = [(a, a + g) for a, g in zip(starts, gaps.tolist())]
     out = {}
+
+    def refusals(fn, fam, theta, ps):
+        refused = 0
+        for a, b in ps:
+            try:
+                fn(fam, theta, a, b)
+            except ImspeKitError:
+                refused += 1
+        return refused
+
     for fam in map(Family, FAMILIES):
+        thetas = (0.01, 1.0, 100.0) + ((1e-4, 0.1) if "matern" in fam.value else ())
         for name, fn in (("n2_closed", _n2_closed), ("n2_residual", _n2_residual)):
-            for theta in (0.01, 1.0, 100.0):
-                for suffix, ps in (("", pairs), (".near", near)):
-                    t = _best(lambda: [fn(fam, theta, a, b) for a, b in ps], 5)
-                    out[f"{name}.{fam.value}.theta={theta:g}{suffix}"] = ("us/call", 1e6 * t / len(ps))
+            for theta in thetas:
+                for suffix, ps in (("", pairs), (".near", near), (".close", close)):
+                    t = _best(lambda: refusals(fn, fam, theta, ps), 5)
+                    key = f"{name}.{fam.value}.theta={theta:g}{suffix}"
+                    out[key] = ("us/call", 1e6 * t / len(ps))
+                    out[f"n2_refused.{key}"] = ("count", refusals(fn, fam, theta, ps))
     name = "gammainc" if hasattr(integrals, "gammainc") else "_gamma_p"
     real = getattr(integrals, name)
     for fam in (Family.MATERN32, Family.MATERN52):
@@ -281,9 +304,12 @@ def measure_counts(root: Path) -> dict:
             wl.call(req)
     finally:
         optimize._n2_residual = real
-    src = root / "src"
-    lines = sum(sum(1 for ln in open(p, encoding="utf-8") if ln.strip()) for p in src.rglob("*.py"))
-    return {"n2_residual_calls": dict(sorted(counts.items())), "src_lines_total": lines}
+    lines = {
+        f"src.lines.{p.stem}": sum(1 for ln in open(p, encoding="utf-8") if ln.strip())
+        for p in sorted((root / "src" / "imspe_kit").glob("*.py"))
+    }
+    lines["src.lines.total"] = sum(lines.values())
+    return {"n2_residual_calls": dict(sorted(counts.items())), "src_lines": lines}
 
 
 def _machine() -> dict:
@@ -378,7 +404,10 @@ def compare(args) -> dict:
             "total": sum(counts["change"]["n2_residual_calls"].values()),
             "change": counts["change"]["n2_residual_calls"],
         },
-        "src_lines_total": {side: c["src_lines_total"] for side, c in counts.items()},
+        "src_lines": {
+            name: {side: c["src_lines"][name] for side, c in counts.items()}
+            for name in counts["change"]["src_lines"]
+        },
     }
     if args.tier1:
         walls = {side: [] for side in roots}

@@ -32,10 +32,9 @@ from .imspe import (
     domain_transform,
     imspe,
     imspe_closed_n1,
-    imspe_closed_n2_exp,
     imspe_n2,
 )
-from .kernels import FAMILY_NAMES, Family, Kernel, corr_pair, corr_point
+from .kernels import FAMILY_NAMES, Family, Kernel, corr_pair
 from .optimize import (
     OptimumReport,
     ProbeReport,
@@ -70,7 +69,6 @@ __all__ = [
     "build_matrices",
     "build_matrices_unit_exp",
     "corr_pair",
-    "corr_point",
     "discontinuity_probe",
     "domain_transform",
     "envelope_x1",
@@ -82,7 +80,6 @@ __all__ = [
     "from_cluster",
     "imspe",
     "imspe_closed_n1",
-    "imspe_closed_n2_exp",
     "imspe_gauss_cluster",
     "imspe_n2",
     "imspe_operator_form",

@@ -30,9 +30,6 @@ from .errors import ValidationError
 from .imspe import _erf_spread, _n2_closed
 from .kernels import Family
 
-_SQRT_PI = math.sqrt(math.pi)
-
-
 @dataclass(frozen=True)
 class ClusterCoords:
     """Pair center and signed half-separation of a two-point design."""
@@ -67,46 +64,6 @@ def from_cluster(c: ClusterCoords) -> tuple[float, float]:
 
 def _check_args(theta: float, x_t: float) -> tuple[float, float]:
     return integrals._check_theta(theta), integrals._check_coord(x_t)
-
-
-# ---------------------------------------------------------------------------
-# derivative ladder of the paired error function
-# ---------------------------------------------------------------------------
-
-def _erf_deriv(k: int, x: float) -> float:
-    """k-th derivative of erf at x, for k = 0..4."""
-    if k == 0:
-        return math.erf(x)
-    e = math.exp(-x * x)
-    if k == 1:
-        return 2.0 / _SQRT_PI * e
-    if k == 2:
-        return -4.0 / _SQRT_PI * x * e
-    if k == 3:
-        return -4.0 / _SQRT_PI * (1.0 - 2.0 * x * x) * e
-    if k == 4:
-        return (24.0 * x - 16.0 * x ** 3) / _SQRT_PI * e
-    raise ValidationError(f"derivative order {k} not supported")
-
-
-def erf_pair_coeffs(c: float, theta: float, x_t: float) -> tuple[float, ...]:
-    """Taylor coefficients of the paired error function in powers of sqrt(c*theta)*delta.
-
-    The expanded map is delta -> erf[g(1+x_t+delta)] + erf[g(1-x_t-delta)]
-    with g = sqrt(c*theta); coefficient k is
-    (1/k!) [erf^(k)(g(1+x_t)) + (-1)^k erf^(k)(g(1-x_t))], orders 0..4.
-    """
-    theta, x_t = _check_args(theta, x_t)
-    g = math.sqrt(c * theta)
-    up, um = g * (1.0 + x_t), g * (1.0 - x_t)
-    out = []
-    fact = 1.0
-    for k in range(5):
-        if k > 1:
-            fact *= k
-        sign = -1.0 if k % 2 else 1.0
-        out.append((_erf_deriv(k, up) + sign * _erf_deriv(k, um)) / fact)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

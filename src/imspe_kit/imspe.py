@@ -282,45 +282,26 @@ def _middle_series(c, q, terms=24):
     return out
 
 
-def _matern_two_point(family, weights):
-    """The two-point criterion, which is also the residual (C(theta) = 0), of the
-    Matern correlation k(u) = sum_n w_n Q(n, u) = p(u) e^(-u) of u = g |x - y|,
-    g = sqrt(3 theta) or sqrt(5 theta), Q = 1 - P, for the (n, w_n) of ``weights``.
+def _matern_two_point(table):
+    """The two-point criterion, also the residual (C(theta) = 0), of the Matern correlation
+    k(u) = sum_n w_n Q(n, u) = p(u) e^(-u), u = g |x - y|, Q = 1 - P, of ``table``.
 
     With lo <= hi the points, s = g (hi - lo) and b0 = 1 - rho = sum_n w_n P(n, s) the
-    criterion is 2 - b0/2 - r01 - r02 - N/(2 b0).  The border r0i is (F(g (1 + xi)) +
-    F(g (1 - xi)))/(2 g), F(lam) = integral over [0, lam] of k = sum_j c_j P(j, lam)
-    with c_j = sum_(n >= j) w_n, written as -C expm1(-lam) - e^(-lam) lam t(lam):
-    F >= P(1, lam) = -expm1(-lam), so the subtraction removes at most 5/8 of the first
-    term and F keeps its relative accuracy where g is small (``integrals``' own
-    borders form 1 - e^(-u) and lose it).  And N = r11 + r22 - 2 r12 =
-    (O(g (1 + lo)) + O(g (1 - hi)) + M(s))/(2 g), integrals of squares over the
-    three segments the points cut the domain into.  On an outer
-    segment k(v) - k(v + s) = e^(-v) sum_j b_j v^j with b_j = sum_n w_n P(n - j, s)/j!,
-    all positive, so O(lam) = integral over [0, lam] of (k(v) - k(v + s))^2 =
-    sum_j (b * b)_j m_j(lam).  In the middle, M(s) = integral over [0, s] of
-    (k(v) - k(s - v))^2 is e^(-s) times ``_middle_series`` in s/2 below s = 2, and
-    from s = 2 on 2 sum_j (p * p)_j m_j(s) - 2 e^(-s) Q(s) = A - e^(-2s) B(s) -
-    2 e^(-s) Q(s), the moments in closed form and Q(s) the integral of p(v) p(s - v)
-    over [0, s].  N and b0 are taken over s^2, so their quotient is finite where
+    criterion is 2 - b0/2 - r01 - r02 - N/(2 b0), r0i summing the table's F, as
+    ``integrals.border_1d`` does, and N = r11 + r22 - 2 r12 = (O(g (1 + lo)) +
+    O(g (1 - hi)) + M(s))/(2 g), integrals of squares over the three segments the
+    points cut the domain into.  On an outer segment k(v) - k(v + s) = e^(-v) sum_j
+    b_j v^j with b_j = sum_n w_n P(n - j, s)/j!, all positive, so O(lam) = integral
+    over [0, lam] of (k(v) - k(v + s))^2 = sum_j (b * b)_j m_j(lam).  In the middle,
+    M(s) = integral over [0, s] of (k(v) - k(s - v))^2 is e^(-s) times
+    ``_middle_series`` in s/2 below s = 2, and from s = 2 on 2 sum_j (p * p)_j m_j(s) -
+    2 e^(-s) Q(s) = A - e^(-2s) B(s) - 2 e^(-s) Q(s), the moments in closed form and
+    Q(s) the table's.  N and b0 are taken over s^2, so their quotient is finite where
     they underflow.
     """
-    fact, top = math.factorial, max(n for n, _ in weights)
-    ends = [sum(w for n, w in weights if n > i) for i in range(top)]
-    p = [c / fact(i) for i, c in enumerate(ends)]
-    _, k, scale = integrals._MATERN_INNER[family]
-    root = math.sqrt(scale)
-    # C = sum_j c_j, and t's lam^(i - 1) coefficient sum_(j > i) c_j/i!: t = t0 + t1 lam,
-    # t1 = 0 for 3/2 (top <= 3)
-    total = sum(ends)
-    t0, t1 = [sum(ends[i:]) / fact(i) for i in range(1, top)] + [0.0] * (3 - top)
-    # c = p * p, and Q's s^n coefficient q_n from the Beta integrals of v^i (s - v)^j
-    c, q = [0.0] * (2 * top - 1), [0.0] * (2 * top)
-    for i, a in enumerate(p):
-        for j, b in enumerate(p):
-            c[i + j] += a * b
-            q[i + j + 1] += a * b * fact(i) * fact(j) / fact(i + j + 1)
-    series, two_q = _middle_series(c, q), [2.0 * x for x in q]
+    fact, weights, top = math.factorial, table.weights, max(n for n, _ in table.weights)
+    c, segments, k, root = table.square, table.segments, table.k, math.sqrt(table.scale)
+    series, two_q = _middle_series(c, table.q), [2.0 * x for x in table.q]
     # m_j(s) = j!/2^(j + 1) (1 - e^(-2s) sum_(i <= j) (2s)^i/i!)
     big_a = sum(cj * fact(j) / 2**j for j, cj in enumerate(c))
     big_b = [sum(c[j] * fact(j) / fact(i) / 2 ** (j - i) for j in range(i, len(c))) for i in range(len(c))]
@@ -354,10 +335,7 @@ def _matern_two_point(family, weights):
             middle = e * (0.5 * s) ** 3 * _horner(series, 0.5 * s) / 4.0
         else:
             middle = (big_a - e * (e * _horner(big_b, s) + _horner(two_q, s))) / (s * s)
-        borders = 0.0
-        for u in (g * (1.0 + x1), g * (1.0 - x1), g * (1.0 + x2), g * (1.0 - x2)):
-            borders -= total * math.expm1(-u) + math.exp(-u) * u * (t0 + t1 * u)
-        borders /= 2.0 * g
+        borders = segments((g * (1.0 + x1), g * (1.0 - x1), g * (1.0 + x2), g * (1.0 - x2))) / (2.0 * g)
         return 2.0 - 0.5 * s * s * d - borders - (outer + middle) / (4.0 * g * d)
 
     return form
@@ -367,14 +345,8 @@ def _matern_two_point(family, weights):
 _N2_FORMS = {
     Family.EXP_P1: _exp_two_point,
     Family.GAUSS_P2: _gauss_two_point,
-    Family.MATERN32: _matern_two_point(Family.MATERN32, ((2, 1.0),)),
-    Family.MATERN52: _matern_two_point(Family.MATERN52, ((3, 2.0 / 3.0), (2, 1.0 / 3.0))),
+    **{family: _matern_two_point(table) for family, table in integrals._MATERN.items()},
 }
-
-
-def imspe_closed_n2_exp(theta: float, x1: float, x2: float) -> float:
-    """Two-point, one-dimensional exponential criterion, as ``imspe_n2`` gives it."""
-    return imspe_n2(Kernel(Family.EXP_P1, (theta,)), theta, x1, x2)
 
 
 def _n2_closed(family: Family, theta: float, x1: float, x2: float) -> float:

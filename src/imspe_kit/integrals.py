@@ -6,25 +6,26 @@ unit-domain [0,1] variants, two Gaussian-family integrals, and two apiece
 for the Matern 3/2 and 5/2 families.  The exponential and Gaussian pair
 integrals have compact closed forms.
 
-The Matern pair integrand is split at the anchors a <= b.  On the middle
-segment the two distances sum to b - a, so the exponential is constant and
-the polynomial integrates exactly.  On each outer segment both distances
-grow with w, the distance from the nearer anchor, and the integrand is a
-polynomial in w with nonnegative coefficients times e^(-2*gamma*w); its
-moments are regularized incomplete gamma functions of integer order, which
-``_gamma_p`` takes from elementary functions: a series of positive terms
-below the order, one cancellation of at most about 3x above.  Nothing else
-cancels, so the pair integrals agree with a 30-digit reference to a few
-units of double rounding for theta from 1e-300 to 1e4.  The outer segments
-start at lam = gamma*(1 +- x), so one moment set per coordinate serves all
-pairs of an axis.
+Every Matern integral is a polynomial times e^(-u) over segments, so each
+follows from the family's weights: ``_MATERN`` holds one table per family,
+built by ``_matern``, whose border, pair body and segment integral F (which
+``imspe``'s two-point form sums too) cancel nowhere.  The pair integrand is
+split at the anchors a <= b: on the middle segment the exponential is
+constant and the polynomial integrates exactly; on each outer segment the
+integrand is a polynomial in w, the distance from the nearer anchor, with
+nonnegative coefficients times e^(-2*gamma*w), whose moments are regularized
+incomplete gamma functions of integer order from ``_gamma_p``: a series of
+positive terms below the order, one cancellation of at most about 3x above.
+So the pair integrals agree with a 30-digit reference to a few units of
+double rounding for theta from 1e-300 to 1e4.  The outer segments start at
+lam = gamma*(1 +- x), so one moment set per coordinate serves an axis.
 
 All exponential terms are arranged as e^(non-positive exponent) so nothing
 overflows for theta up to at least 1e4.  Pair integrals accept their two
 anchors in either order.
 
-Each formula is written once, as an unchecked body (``_i1`` ... ``_i7``,
-the Matern pair bodies, ``_r_border``) that takes validated floats; the
+Each formula is written once, as an unchecked body (``_i1`` ... ``_i4``,
+the Matern tables' bodies, ``_r_border``) that takes validated floats; the
 public names validate their arguments and call it.  Every pair integral
 of a design goes through a per-axis ``_pair_table``; a lone pair of anchors
 goes through ``_pair``.  The Gaussian bodies ``_i3``/``_i4``
@@ -37,6 +38,7 @@ that gives its values bit for bit, so no path loads ``scipy.special``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import ValidationError
@@ -195,43 +197,7 @@ def i4(a: float, b: float, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Matern single-point integrals (hand-algebra forms)
-# ---------------------------------------------------------------------------
-
-def _i5(a, theta):
-    g = math.sqrt(3.0 * theta)
-    up, um = g * (1.0 + a), g * (1.0 - a)
-    ep, em = math.exp(-up), math.exp(-um)
-    return (2.0 * ((1.0 - ep) + (1.0 - em)) - (up * ep + um * em)) / (2.0 * g)
-
-
-def i5(a: float, theta: float) -> float:
-    """(1/2) * integral of the Matern-3/2 correlation anchored at ``a`` over [-1, 1].
-
-    Uses the hand-algebra form, whose denominator is free of the zero that
-    makes the raw computer-algebra result ill-conditioned.
-    """
-    return _i5(_check_coord(a), _check_theta(theta))
-
-
-def _i7(a, theta):
-    g = math.sqrt(5.0 * theta)
-    up, um = g * (1.0 + a), g * (1.0 - a)
-    ep, em = math.exp(-up), math.exp(-um)
-    return (
-        8.0 * ((1.0 - ep) + (1.0 - em))
-        - 5.0 * (up * ep + um * em)
-        - (up * up * ep + um * um * em)
-    ) / (6.0 * g)
-
-
-def i7(a: float, theta: float) -> float:
-    """(1/2) * integral of the Matern-5/2 correlation anchored at ``a`` over [-1, 1]."""
-    return _i7(_check_coord(a), _check_theta(theta))
-
-
-# ---------------------------------------------------------------------------
-# Matern pair integrals: exact integration on the three segments
+# Matern families: every integral from one weight table
 # ---------------------------------------------------------------------------
 
 def _series_coeffs(n, x):
@@ -291,12 +257,85 @@ def _exp_moments(lams: Sequence[float], k: int) -> list[list[float]]:
     return [_gamma_p(k + 1, 2.0 * lam, scales) for lam in lams]
 
 
-def _m32_pair(s, g, m_lo, m_hi):
-    # in u = gamma*distance the correlation is (1 + u) e^(-u); s = gamma*(b - a)
-    total = s * (1.0 + s * (1.0 + s / 6.0))  # middle segment
-    for m0, m1, m2 in (m_lo, m_hi):
-        total += (1.0 + s) * m0 + (2.0 + s) * m1 + m2
-    return math.exp(-s) * total / (2.0 * g)
+#: one Matern family's integrals: its weights (n, w_n), gamma^2/theta, the outer segments'
+#: moment order k, the coefficients of p(w)^2 and of Q(s), and its bodies segments(lams),
+#: the sum of F(lam) over lams, border(a, theta) and pair(s, gamma, m_lo, m_hi)
+_Matern = namedtuple("_Matern", "weights scale k square q segments border pair")
+
+
+def _matern(weights, scale) -> _Matern:
+    """The integrals of the correlation k(u) = sum_n w_n Q(n, u) = p(u) e^(-u) of
+    u = gamma |x - y|, gamma^2 = scale theta, Q = 1 - P, for the (n, w_n) of ``weights``;
+    p's u^i coefficient is the end sum c_(i+1) = sum_(n > i) w_n over i!.
+
+    The border is (F(gamma (1 + a)) + F(gamma (1 - a)))/(2 gamma), F(lam) = integral of
+    k over [0, lam] = sum_j c_j P(j, lam) = -C expm1(-lam) - e^(-lam) lam (t0 + t1 lam),
+    C = sum_j c_j, t's lam^(i - 1) coefficient sum_(j > i) c_j/i!: F >= -expm1(-lam), so
+    at most 5/8 of the first term cancels and F stays accurate at small gamma.  The
+    pair of a <= b, s = gamma (b - a), is e^(-s) [Q(s) + sum_j o_j(s) m_j(lam_lo) +
+    sum_j o_j(s) m_j(lam_hi)]/(2 gamma): Q(s) the middle segment's integral of
+    p(v) p(s - v) over [0, s], o_j(s) the w^j coefficient of p(w) p(w + s) on an outer
+    segment, m_j ``_exp_moments``; all coefficients are positive up to their degree.
+    Each outer segment is summed on its own, so a near pair rounds like the diagonal
+    entries in the solve path's (r11 + r22 - 2 r12)/(1 - rho).  Once e^(-s) underflows
+    the pair, below e^(-s) s^(k + 1) < 1e-300, is 0 where powers of s would give 0 * inf.
+    """
+    fact, top = math.factorial, max(n for n, _ in weights)
+    ends = [sum(w for n, w in weights if n > i) for i in range(top)]
+    p = [c / fact(i) for i, c in enumerate(ends)]
+    total = sum(ends)
+    t0, t1 = [sum(ends[i:]) / fact(i) for i in range(1, top)] + [0.0] * (3 - top)  # t1 = 0 for 3/2
+    # outer[j][i] is o_j's s^i coefficient, its s^0 terms summed as p * p's own
+    # convolution; q_n from the Beta integrals of v^i (s - v)^jj
+    outer, q = [[0.0] * top for _ in range(2 * top - 1)], [0.0] * (2 * top)
+    for i, a in enumerate(p):
+        for jj, b in enumerate(p):
+            q[i + jj + 1] += a * b * fact(i) * fact(jj) / fact(i + jj + 1)
+            for l in range(jj + 1):
+                outer[i + l][jj - l] += a * b * math.comb(jj, l)
+    # Horner order, each polynomial as its leading coefficient and the rest (Q = s (Q/s))
+    q_lead, *q_tail = reversed(q[1:])
+    rows = tuple((r[0], r[1:]) for r in (tuple(reversed([c for c in row if c])) for row in outer))
+
+    def segments(lams):
+        out = 0.0
+        for lam in lams:
+            out -= total * math.expm1(-lam) + math.exp(-lam) * lam * (t0 + t1 * lam)
+        return out
+
+    def border(a, theta):
+        g = math.sqrt(scale * theta)
+        return segments((g * (1.0 + a), g * (1.0 - a))) / (2.0 * g)
+
+    def pair(s, g, m_lo, m_hi):
+        e = math.exp(-s)
+        if e == 0.0:
+            return 0.0
+        middle, out_lo, out_hi = q_lead, 0.0, 0.0
+        for c in q_tail:
+            middle = middle * s + c
+        for (o, tail), lo, hi in zip(rows, m_lo, m_hi):
+            for c in tail:
+                o = o * s + c
+            out_lo += o * lo
+            out_hi += o * hi
+        return e * (middle * s + out_lo + out_hi) / (2.0 * g)
+
+    square = tuple(row[0] for row in outer)
+    return _Matern(tuple(weights), scale, 2 * top - 2, square, tuple(q), segments, border, pair)
+
+
+#: the Matern 3/2 and 5/2 correlations (1 + u) e^(-u) = Q(2, u) and
+#: (1 + u + u^2/3) e^(-u) = (2 Q(3, u) + Q(2, u))/3, with gamma = sqrt(3 theta), sqrt(5 theta)
+_MATERN = {
+    Family.MATERN32: _matern(((2, 1.0),), 3.0),
+    Family.MATERN52: _matern(((3, 2.0 / 3.0), (2, 1.0 / 3.0)), 5.0),
+}
+
+
+def i5(a: float, theta: float) -> float:
+    """(1/2) * integral of the Matern-3/2 correlation anchored at ``a`` over [-1, 1]."""
+    return border_1d(Family.MATERN32, a, theta)
 
 
 def i6(a: float, b: float, theta: float) -> float:
@@ -304,14 +343,9 @@ def i6(a: float, b: float, theta: float) -> float:
     return inner_1d(Family.MATERN32, a, b, theta)
 
 
-def _m52_pair(s, g, m_lo, m_hi):
-    # in u = gamma*distance the correlation is (1 + u + u^2/3) e^(-u)
-    total = s * (1.0 + s * (1.0 + s * (7.0 / 18.0 + s * (1.0 / 18.0 + s / 270.0))))
-    q0, q1 = 1.0 + s * (1.0 + s / 3.0), 1.0 + s * (2.0 / 3.0)
-    c0, c1, c2, c3, c4 = q0, q0 + q1, q0 / 3.0 + q1 + 1.0 / 3.0, (q1 + 1.0) / 3.0, 1.0 / 9.0
-    for m0, m1, m2, m3, m4 in (m_lo, m_hi):
-        total += c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
-    return math.exp(-s) * total / (2.0 * g)
+def i7(a: float, theta: float) -> float:
+    """(1/2) * integral of the Matern-5/2 correlation anchored at ``a`` over [-1, 1]."""
+    return border_1d(Family.MATERN52, a, theta)
 
 
 def i8(a: float, b: float, theta: float) -> float:
@@ -323,18 +357,10 @@ def i8(a: float, b: float, theta: float) -> float:
 # R-matrix elements
 # ---------------------------------------------------------------------------
 
-_BORDER = {
-    Family.EXP_P1: _i1,
-    Family.GAUSS_P2: _i3,
-    Family.MATERN32: _i5,
-    Family.MATERN52: _i7,
-}
+_BORDER = {Family.EXP_P1: _i1, Family.GAUSS_P2: _i3, **{f: m.border for f, m in _MATERN.items()}}
 
 #: exponential and Gaussian pair bodies (a, b, theta)
 _INNER = {Family.EXP_P1: _i2, Family.GAUSS_P2: _i4}
-
-#: Matern pair bodies (s, gamma, m_lo, m_hi), their moment order and gamma^2/theta
-_MATERN_INNER = {Family.MATERN32: (_m32_pair, 2, 3.0), Family.MATERN52: (_m52_pair, 4, 5.0)}
 
 
 def _pair_table(family: Family, xs: Sequence[float], theta: float):
@@ -347,9 +373,9 @@ def _pair_table(family: Family, xs: Sequence[float], theta: float):
     if family in _INNER:
         body = _INNER[family]
         return lambda i, j: body(xs[i], xs[j], theta)
-    body, k, scale = _MATERN_INNER[family]
-    g = math.sqrt(scale * theta)
-    moments = _exp_moments([g * (1.0 + x) for x in xs] + [g * (1.0 - x) for x in xs], k)
+    m = _MATERN[family]
+    body, g = m.pair, math.sqrt(m.scale * theta)
+    moments = _exp_moments([g * (1.0 + x) for x in xs] + [g * (1.0 - x) for x in xs], m.k)
 
     def table(i, j):
         if xs[j] < xs[i]:
@@ -364,12 +390,12 @@ def _pair(family: Family, a, b, theta):
     theta)(0, 1)``; a Matern pair takes only the 2 moment sets it reads."""
     if family in _INNER:
         return _INNER[family](a, b, theta)
-    body, k, scale = _MATERN_INNER[family]
-    g = math.sqrt(scale * theta)
+    m = _MATERN[family]
+    g = math.sqrt(m.scale * theta)
     if b < a:
         a, b = b, a
-    m_lo, m_hi = _exp_moments([g * (1.0 + a), g * (1.0 - b)], k)
-    return body(g * (b - a), g, m_lo, m_hi)
+    m_lo, m_hi = _exp_moments([g * (1.0 + a), g * (1.0 - b)], m.k)
+    return m.pair(g * (b - a), g, m_lo, m_hi)
 
 
 def border_1d(family: Family, a: float, theta: float) -> float:

@@ -108,23 +108,3 @@ def corr_pair(kernel: Kernel, xi: Sequence[float], xj: Sequence[float]) -> float
         out *= corr1(kernel.family, t, a - b)
     return out
 
-
-def corr_point(kernel: Kernel, xi: Sequence[float], x: Sequence[float]) -> float:
-    """Correlation between design point ``xi`` and a free coordinate ``x``.
-
-    ``x`` is an integration variable and may lie outside the design cube,
-    but must be finite.
-    """
-    xi = check_point(xi, kernel.d)
-    x = tuple(float(c) for c in x)
-    if len(x) != kernel.d:
-        raise ValidationError(f"free point has dimension {len(x)}, expected {kernel.d}")
-    for k, c in enumerate(x):
-        if not math.isfinite(c):
-            raise ValidationError(f"free coordinate {k} is not finite")
-    if x == xi:
-        return 1.0
-    out = 1.0
-    for t, a, b in zip(kernel.theta, xi, x):
-        out *= corr1(kernel.family, t, a - b)
-    return out

@@ -1,7 +1,5 @@
 """Proximal-pair expansion: coefficient routes, parity, and switchover."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +18,7 @@ from imspe_kit import (
     st_term,
     to_cluster,
 )
-from imspe_kit.cluster import border_element, erf_pair_coeffs
-from imspe_kit.oracle import richardson_diff
+from imspe_kit.cluster import border_element
 from test_imspe import _reference
 
 THETA_GRID = (0.5, 1.0, 5.0)
@@ -53,29 +50,6 @@ def test_cluster_coordinates_values():
 def test_from_cluster_rejects_escape():
     with pytest.raises(ValidationError):
         from_cluster(ClusterCoords(x_t=0.9, delta=0.5))
-
-
-# ---------------------------------------------------------------------------
-# derivative ladder of the paired error function
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("c", [1.0, 2.0])
-@pytest.mark.parametrize("theta,x_t", [(0.5, 0.0), (1.0, 0.2), (5.0, 0.5)])
-def test_erf_pair_coeffs_match_finite_differences(c, theta, x_t):
-    g = math.sqrt(c * theta)
-
-    def paired(delta):
-        return math.erf(g * (1.0 + x_t + delta)) + math.erf(g * (1.0 - x_t - delta))
-
-    coeffs = erf_pair_coeffs(c, theta, x_t)
-    assert coeffs[0] == pytest.approx(paired(0.0), abs=1e-14)
-    fact = 1.0
-    for k in range(1, 5):
-        fact *= k
-        # coefficient k multiplies (g*delta)^k, so the plain delta-derivative
-        # carries an extra g^k
-        fd = richardson_diff(paired, 0.0, order=k, h0=0.05) / fact
-        assert coeffs[k] * g ** k == pytest.approx(fd, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

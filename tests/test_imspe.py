@@ -20,7 +20,6 @@ from imspe_kit import (
     domain_transform,
     imspe,
     imspe_closed_n1,
-    imspe_closed_n2_exp,
     imspe_n2,
     imspe_quadratic,
 )
@@ -79,13 +78,13 @@ def test_closed_n1_matches_solve(family, theta):
 def test_closed_n2_exp_matches_solve(theta):
     k = Kernel(Family.EXP_P1, (theta,))
     for x1, x2 in [(0.6, -0.6), (0.9, 0.1), (-1.0, 1.0), (0.3, 0.2)]:
-        assert imspe_closed_n2_exp(theta, x1, x2) == pytest.approx(
+        assert imspe_n2(k, theta, x1, x2) == pytest.approx(
             build_matrices(k, [[x1], [x2]]).imspe, abs=1e-12
         )
 
 
 def test_closed_n2_exp_overflow_safe_at_large_theta():
-    v = imspe_closed_n2_exp(1e4, 0.5, -0.5)
+    v = imspe_n2(Kernel(Family.EXP_P1, (1e4,)), 1e4, 0.5, -0.5)
     assert math.isfinite(v)
     assert 0.0 < v < 2.0
 
@@ -169,8 +168,6 @@ def test_exp_small_theta_close_pair_is_accurate():
     x1, x2 = 0.5408061093933778, 0.5408061093613006
     rel, err = _two_point_errors(Family.EXP_P1, 0.01, x1, x2)
     assert rel <= 1e-15 and err <= _SMALL_THETA_ABS, (rel, err)
-    kernel = Kernel(Family.EXP_P1, (0.01,))
-    assert imspe_closed_n2_exp(0.01, x1, x2) == imspe_n2(kernel, 0.01, x1, x2)
 
 
 def test_gauss_close_pairs_at_former_failure_points():
@@ -502,7 +499,7 @@ def test_coincident_points_raise():
     with pytest.raises(NearSingularError):
         build_matrices(k, [[0.3], [0.3]])
     with pytest.raises(NearSingularError):
-        imspe_closed_n2_exp(1.0, 0.3, 0.3)
+        imspe_n2(k, 1.0, 0.3, 0.3)
     with pytest.raises(NearSingularError):
         imspe_n2(Kernel(Family.GAUSS_P2, (1.0,)), 1.0, 0.3, 0.3)
 
@@ -518,10 +515,13 @@ def test_overflowing_decay_rate_is_refused_not_raised_by_numpy():
 def test_matern_two_point_answers_at_huge_decay_rates(family):
     # gamma |x1 - x2| up to 1e154, to the largest float theta: the powers of
     # the gap and the moments' x^j e^(-x) stay finite, and a separated pair
-    # tends to 3/2
-    for theta in (1e100, 1e200, 1e300, 1e307, sys.float_info.max):
+    # tends to 3/2.  The solve path gives the same up to 1e307, where the
+    # pair integral's e^(-s) s^5 used to be 0 * inf (5/2 from 1e150)
+    for theta in (1e100, 1e150, 1e200, 1e300, 1e307, sys.float_info.max):
         for x1, x2 in ((0.3, -0.2), (0.9, 0.95), (-1.0, 1.0)):
             assert imspe_n2(Kernel(family, (theta,)), theta, x1, x2) == 1.5, (theta, x1, x2)
+    for theta in (1e150, 1e300, 1e307):
+        assert build_matrices(Kernel(family, (theta,)), [[0.3], [-0.2]]).imspe == 1.5, theta
 
 
 def test_near_singular_solve_refused():
@@ -537,7 +537,7 @@ def test_near_singular_solve_refused():
     assert abs(imspe_n2(k, 1.0, 0.1, 0.1 + 1e-9) - value) <= 1e-15
     x2 = math.nextafter(0.3, 1.0)
     _, value = _reference(Family.EXP_P1, 1.0, 0.3, x2)
-    assert abs(imspe_closed_n2_exp(1.0, 0.3, x2) - value) <= 1e-15
+    assert abs(imspe_n2(Kernel(Family.EXP_P1, (1.0,)), 1.0, 0.3, x2) - value) <= 1e-15
 
 
 def test_conditioning_honesty_against_expansion():

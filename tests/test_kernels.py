@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from imspe_kit import FAMILY_NAMES, Family, Kernel, ValidationError, corr_pair, corr_point
+from imspe_kit import FAMILY_NAMES, Family, Kernel, ValidationError, corr_pair
 from imspe_kit.kernels import check_point, corr1
 
 ALL_FAMILIES = list(Family)
@@ -71,11 +71,6 @@ def test_corr_pair_exactly_one_at_coincidence():
     k = Kernel(Family.MATERN52, (1.0, 2.0, 3.0))
     p = (0.123456, -0.5, 0.999)
     assert corr_pair(k, p, p) == 1.0
-
-
-def test_corr_point_matches_corr_pair():
-    k = Kernel(Family.EXP_P1, (0.7,))
-    assert corr_point(k, (0.3,), (-0.2,)) == corr_pair(k, (0.3,), (-0.2,))
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])

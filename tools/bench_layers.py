@@ -3,7 +3,8 @@
 Compares an old and a new checkout (each a directory holding ``src/`` and
 ``perfbench/``).  Every round runs one fresh measuring process per checkout,
 alternating which goes first, and the report gives each number's median and
-range over the rounds:
+range over the rounds, and marks a row ``unresolved`` when the two ranges
+overlap:
 
     python tools/bench_layers.py --old ../parent --new . --rounds 5 \\
         --tier1 2 --e2e search-n2:31-40 --e2e raster:31-33 --out BENCH.json
@@ -21,7 +22,9 @@ Layer numbers (one process per checkout and round):
   it (scipy's, one array call per axis), else of ``integrals._gamma_p``
   (one call per moment set);
 * ``build_matrices`` time of a Matern n = 2 raster node (theta = 1) and of a
-  random n = 200, d = 3 design at theta = (2, 5, 10);
+  random n = 200, d = 3 design at theta = (2, 5, 10), and microseconds per
+  Matern ``integrals.border_1d`` and ``inner_1d`` call at theta in
+  {1e-4, 1, 100};
 * one free ``optimize_n2`` search per family at theta = 1, and one
   ``symmetric_pair`` search per family at theta in {0.01, 1, 100};
 * in-process wall time of the golden ``sweep --n 2`` commands;
@@ -87,6 +90,9 @@ METHOD = {
     "2, 0.41, -0.37): integrals.gammainc where the checkout has it, else integrals._gamma_p",
     "build_matrices": "n2_node: 500 pairs of those, theta = 1, smallest of 5; n200_d3: "
     "uniform design (numpy seed 3), theta = (2, 5, 10), smallest of 3",
+    "matern_1d": "integrals.border_1d(family, a, theta) and inner_1d(family, a, b, theta) over "
+    "the same 500 pairs, theta in {1e-4, 1, 100}, smallest of 5",
+    "unresolved": "a layer row whose parent and change ranges over the rounds overlap",
     "free_search": "optimize_n2(Kernel(family, (1,)), 1), smallest of 3",
     "symmetric_search": "optimize_n2(Kernel(family, (theta,)), theta, "
     "constraint='symmetric_pair'), smallest of 20",
@@ -181,6 +187,11 @@ def measure_layers() -> dict:
         node = Kernel(fam, (1.0,))
         t = _best(lambda: [build_matrices(node, [[a], [b]]) for a, b in pairs[:500]], 5)
         out[f"build_matrices.{fam.value}.n2_node"] = ("us/call", 1e6 * t / 500)
+        for theta in (1e-4, 1.0, 100.0):
+            t = _best(lambda: [integrals.border_1d(fam, a, theta) for a, _ in pairs[:500]], 5)
+            out[f"border_1d.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t / 500)
+            t = _best(lambda: [integrals.inner_1d(fam, a, b, theta) for a, b in pairs[:500]], 5)
+            out[f"inner_1d.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t / 500)
     big = np.random.default_rng(3).uniform(-1, 1, (200, 3))
     for fam in map(Family, FAMILIES):
         out[f"build_matrices.{fam.value}.n200_d3"] = (
@@ -351,6 +362,7 @@ def _summary(old: list[float], new: list[float], digits: int = 4) -> dict:
         "change_range": [round(min(new), digits), round(max(new), digits)],
         "rounds": len(old),
         "ratio": round(mn / mo, 3) if mo else None,
+        "unresolved": max(min(old), min(new)) <= min(max(old), max(new)),
     }
 
 

@@ -1,7 +1,7 @@
 """Record the output of a fixed list of CLI commands, for a golden diff.
 
 Each command runs in process through ``imspe_kit.cli.main``; its exit code
-and standard output go to ``OUT/<n>.txt`` (n = 1 ... 53, in list order).
+and standard output go to ``OUT/<n>.txt`` (n = 1 ... 55, in list order).
 Record two checkouts and compare them:
 
     python tools/golden_cli.py /tmp/golden-new
@@ -25,14 +25,15 @@ POINTS_3D = "0.1,0.2,-0.3;0.5,-0.6,0.7;-0.8,0.9,0.05;0.3,0.3,0.3"
 
 
 def commands() -> list[list[str]]:
-    """The 53 commands: nine per family, the scenario, probe and validate,
+    """The 55 commands: nine per family, the scenario, probe and validate,
     two-point searches at decay rates where the criterion rounds to a constant,
     one-point optima at large decay rates, exp/gauss symmetric searches at
     theta = 0.01, where the theta-only part C(theta) of the two-point
     criterion is -248 (exp) and -22 (gauss) against a criterion near 0,
     a validate whose cases each fill more than one quadrature batch, and
     Matern symmetric searches at theta = 1e-4, where the criterion is near 1e-6
-    (3/2) and 1e-8 (5/2)."""
+    (3/2) and 1e-8 (5/2), and Matern evaluations of a separated pair at decay
+    rates where the criterion is 3/2 and e^(-u) underflows in the pair integral."""
     out = []
     for fam in FAMILIES:
         k = ["--kernel", fam]
@@ -74,6 +75,8 @@ def commands() -> list[list[str]]:
     out.append(["validate", "--samples", "200"])
     for fam in ("matern-3-2", "matern-5-2"):
         out.append(["optimize", "--kernel", fam, "--theta", "0.0001", "--n", "2", "--symmetric"])
+    for fam, theta in (("matern-5-2", "1e150"), ("matern-3-2", "1e307")):
+        out.append(["eval", "--kernel", fam, "--theta", theta, "--points", "0.3;-0.2"])
     return out
 
 

@@ -325,7 +325,15 @@ def _matern_two_point(table):
             for f, m in row:
                 b += f * r[m] * pw[m]
             beta.append(b)
-        m_lo, m_hi = integrals._exp_moments((g * (1.0 + lo), g * (1.0 - hi)), k)
+        # a mirror pair x2 = -x1 has two equal outer segments and two border lengths:
+        # each is taken once and summed in the general path's order, bit for bit
+        if x1 == -x2:
+            m_lo = m_hi = integrals._exp_moments((g * (1.0 - hi),), k)[0]
+            f_a, f_b = segments((g * (1.0 + x1),)), segments((g * (1.0 - x1),))
+            borders = f_a + f_b + f_b + f_a
+        else:
+            m_lo, m_hi = integrals._exp_moments((g * (1.0 + lo), g * (1.0 - hi)), k)
+            borders = segments((g * (1.0 + x1), g * (1.0 - x1), g * (1.0 + x2), g * (1.0 - x2)))
         outer = 0.0
         for i, bi in enumerate(beta):
             for j, bj in enumerate(beta):
@@ -335,8 +343,7 @@ def _matern_two_point(table):
             middle = e * (0.5 * s) ** 3 * _horner(series, 0.5 * s) / 4.0
         else:
             middle = (big_a - e * (e * _horner(big_b, s) + _horner(two_q, s))) / (s * s)
-        borders = segments((g * (1.0 + x1), g * (1.0 - x1), g * (1.0 + x2), g * (1.0 - x2))) / (2.0 * g)
-        return 2.0 - 0.5 * s * s * d - borders - (outer + middle) / (4.0 * g * d)
+        return 2.0 - 0.5 * s * s * d - borders / (2.0 * g) - (outer + middle) / (4.0 * g * d)
 
     return form
 

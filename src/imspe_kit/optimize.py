@@ -15,8 +15,13 @@ index order so output is independent of the worker count.
 
 The ``symmetric_pair`` search is Brent's bounded scalar method, also a loop
 on floats that takes scipy's steps bit for bit, so no search loads
-``scipy.optimize``.  ``mpmath`` is imported only by the scenario's 40-digit
-solve.
+``scipy.optimize``.  The domain and every kernel are reflection-invariant,
+f(x1, x2) = f(-x2, -x1), so at its optimum (a, -a) the Hessian's
+eigenvectors are (1, 1) and (1, -1): the mirror certificate
+``_mirror_diagnostics`` reads the gradient and both eigenvalues from 5
+evaluations instead of the 12 of the two-dimensional differences.  Each
+search hands its optimum's value on, so no design is evaluated twice.
+``mpmath`` is imported only by the scenario's 40-digit solve.
 """
 
 from __future__ import annotations
@@ -251,8 +256,9 @@ _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 
 
-def _bounded_brent(f, lo: float, hi: float, xatol: float) -> float:
-    """Minimiser of ``f`` on [lo, hi] by Brent's bounded method, on floats.
+def _bounded_brent(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimiser of ``f`` on [lo, hi] by Brent's bounded method, on floats, and
+    the value ``f`` returned there.
 
     Step for step scipy's ``minimize_scalar(method="bounded")`` with ``xatol``:
     the same first point lo + golden_mean * (hi - lo), parabolic-fit test,
@@ -311,31 +317,30 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float) -> float:
         tol2 = 2.0 * tol1
         if num >= 500:
             break
-    return xf
+    return xf, fx
 
 
 def _multistart(objective, starts, tol_x: float):
-    """Best (x1, x2) of Nelder-Mead runs from each start, in order; None if no
-    run returned a value below infinity."""
+    """Best (x1, x2) of Nelder-Mead runs from each start, in order, and its
+    value; (None, inf) if no run returned a value below infinity."""
     best_pt, best_val = None, math.inf
     for start in starts:
         pt, val, _ = _nelder_mead(objective, start, tol_x)
         if val < best_val:
             best_pt, best_val = pt, val
-    return best_pt
+    return best_pt, best_val
 
 
 def _fd_diagnostics(
-    f: Callable[[float, float], float], x1: float, x2: float
+    f: Callable[[float, float], float], x1: float, x2: float, f00: float
 ) -> tuple[float, tuple[float, float], float]:
-    """Central-difference gradient norm and Hessian eigenvalues of a 2-d map,
-    and the round-off level of those second differences: a curvature below it
-    is noise."""
+    """Central-difference gradient norm and Hessian eigenvalues of a 2-d map
+    at (x1, x2), where it takes the value ``f00``, and the round-off level of
+    those second differences: a curvature below it is noise."""
     h = 1e-6
     g1 = (f(x1 + h, x2) - f(x1 - h, x2)) / (2.0 * h)
     g2 = (f(x1, x2 + h) - f(x1, x2 - h)) / (2.0 * h)
     hh = 1e-4
-    f00 = f(x1, x2)
     h11 = (f(x1 + hh, x2) - 2.0 * f00 + f(x1 - hh, x2)) / hh ** 2
     h22 = (f(x1, x2 + hh) - 2.0 * f00 + f(x1, x2 - hh)) / hh ** 2
     h12 = (
@@ -349,6 +354,27 @@ def _fd_diagnostics(
     disc = math.sqrt(max(0.0, (h11 - h22) ** 2 + 4.0 * h12 ** 2))
     eigs = (math.ldexp((tr - disc) / 2.0, k), math.ldexp((tr + disc) / 2.0, k))
     return math.hypot(g1, g2), eigs, 4.0 * math.ulp(f00) / hh ** 2
+
+
+def _mirror_diagnostics(
+    f: Callable[[float, float], float], a: float, f00: float
+) -> tuple[float, tuple[float, float], float]:
+    """``_fd_diagnostics`` at a mirror pair (a, -a) of a map with
+    f(x1, x2) = f(-x2, -x1), where it takes the value ``f00``, from 5 evaluations.
+
+    The mirror symmetry makes (1, -1) and (1, 1) the Hessian's eigenvectors
+    and puts the gradient along (1, -1).  With phi(t) = f(t, -t), the gradient
+    norm is |phi'(a)|/sqrt(2) and the curvature along (1, -1) is phi''(a)/2,
+    both central differences of phi; along (1, 1), f(a + hh, -a + hh) equals
+    its mirror image f(a - hh, -a - hh), so that one value and ``f00`` give
+    the second difference.
+    """
+    h = 1e-6
+    grad = abs(f(a + h, -a - h) - f(a - h, -a + h)) / (2.0 * math.sqrt(2.0) * h)
+    hh = 1e-4
+    anti = (f(a + hh, -a - hh) - 2.0 * f00 + f(a - hh, -a + hh)) / (2.0 * hh ** 2)
+    sym = (f(a + hh, -a + hh) - f00) / hh ** 2
+    return grad, (min(anti, sym), max(anti, sym)), 4.0 * math.ulp(f00) / hh ** 2
 
 
 def optimize_n2(
@@ -367,9 +393,14 @@ def optimize_n2(
     positive and finite.  Both minimise
     ``_n2_residual``; the report carries ``imspe_n2`` at the optimum and the
     gradient and Hessian eigenvalues of the residual there, and is
-    ``converged`` only if the gradient is small and both eigenvalues exceed
-    the round-off level of their finite differences.  ``theta`` must equal
-    ``kernel.theta[0]``.
+    ``converged`` only if the gradient is small and both eigenvalues are
+    finite and exceed the round-off level of their finite differences.  The
+    symmetric search certifies its optimum (a, -a) on the mirror axes
+    (``_mirror_diagnostics``): the residual satisfies
+    f(x1, x2) = f(-x2, -x1) to rounding, so the eigenvalues are the
+    curvatures along (1, -1), a second difference of f(t, -t), and along
+    (1, 1), from the one value f(a + hh, -a + hh) and the optimum's own.
+    ``theta`` must equal ``kernel.theta[0]``.
 
     Converged reports were checked against a high-precision grid (value at
     or below every symmetric grid pair, x1 within 1e-4 of the true optimum)
@@ -383,21 +414,24 @@ def optimize_n2(
         raise ValidationError(f"tol_x = {tol_x} must be positive and finite")
     objective = _pair_objective(kernel.family, theta)
     if constraint == "symmetric_pair":
-        a = _bounded_brent(lambda a: objective(a, -a), 1e-6, 1.0, tol_x)
-        best_pt = (a, -a) if objective(a, -a) < math.inf else None
+        a, f00 = _bounded_brent(lambda a: objective(a, -a), 1e-6, 1.0, tol_x)
+        best_pt = (a, -a)
     elif constraint is None:
-        best_pt = _multistart(objective, MULTISTART_PAIRS, tol_x)
+        best_pt, f00 = _multistart(objective, MULTISTART_PAIRS, tol_x)
     else:
         raise ValidationError(f"unknown constraint: {constraint!r}")
-    if best_pt is None:
+    if not f00 < math.inf:
         return _failed_report(2)
     x1, x2 = best_pt
     value = imspe_n2(kernel, theta, x1, x2)
-    grad_norm, eigs, noise = _fd_diagnostics(objective, x1, x2)
+    if constraint is None:
+        grad_norm, eigs, noise = _fd_diagnostics(objective, x1, x2, f00)
+    else:
+        grad_norm, eigs, noise = _mirror_diagnostics(objective, x1, f00)
     return OptimumReport(
         design=((x1,), (x2,)),
         imspe_value=value,
-        converged=bool(grad_norm <= 1e-5 and min(eigs) > noise),
+        converged=bool(grad_norm <= 1e-5 and noise < min(eigs) and max(eigs) < math.inf),
         gradient_norm=grad_norm,
         second_order_check=eigs,
         boundary_distance=min(1.0 - abs(x1), 1.0 - abs(x2)),

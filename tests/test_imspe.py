@@ -23,7 +23,7 @@ from imspe_kit import (
     imspe_n2,
     imspe_quadratic,
 )
-from imspe_kit.imspe import COND_LIMIT, _n2_residual
+from imspe_kit.imspe import _N2_FORMS, COND_LIMIT, _n2_residual
 from imspe_kit.oracle import inverse_sym_3x3, trace_of_product_sym
 from test_optimize import _digits, _mp_corr, _residual_mp, _residual_quad, _theta_constant
 
@@ -349,6 +349,66 @@ def test_matern_two_point_criterion_takes_one_gammainc_call(family, monkeypatch)
         lo, hi = min(x1, x2), max(x1, x2)
         gap = [g * (hi - lo)] if g * (hi - lo) > 1e-8 else []
         assert calls == gap + [2.0 * g * (1.0 + lo), 2.0 * g * (1.0 - hi)], (x1, x2)
+    # a mirror pair's two outer segments are equal and share one moment set
+    for x1 in (0.41, -0.41, 1.0, 1e-300):
+        calls.clear()
+        imspe_n2(Kernel(family, (2.0,)), 2.0, x1, -x1)
+        gap = [g * 2.0 * abs(x1)] if g * 2.0 * abs(x1) > 1e-8 else []
+        assert calls == gap + [2.0 * g * (1.0 - abs(x1))], x1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(ALL_FAMILIES),
+    log_theta=st.floats(min_value=math.log(1e-4), max_value=math.log(1e3)),
+    x1=st.floats(min_value=-1.0, max_value=1.0),
+    x2=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_two_point_residual_mirror_identity(family, log_theta, x1, x2):
+    # the domain and every kernel are reflection-invariant, so the residual
+    # of (x1, x2) is the residual of (-x2, -x1); the mirror certificate of
+    # optimize_n2 rests on it.  The forms sum their terms in an order that
+    # depends on the points, so the two agree to rounding: within 3 ulp for
+    # the exponential and Gaussian residuals (2 measured on 20,000 random
+    # pairs), and within 9e-16 absolute for the Matern ones (8.9e-16
+    # measured), which are differences 2 - borders - ... of terms near 1
+    assume(x1 != x2)
+    theta = math.exp(log_theta)
+    value = _n2_residual(family, theta, x1, x2)
+    mirror = _n2_residual(family, theta, -x2, -x1)
+    if family in _MATERN:
+        assert abs(value - mirror) <= 9e-16, (theta, x1, x2)
+    else:
+        assert abs(value - mirror) <= 3.0 * math.ulp(max(value, mirror)), (theta, x1, x2)
+
+
+class _Unmirrored(float):
+    """A float that equals nothing, so a two-point form takes its general path
+    even for a mirror pair x2 = -x1."""
+
+    __hash__ = float.__hash__
+
+    def __eq__(self, other):
+        return False
+
+
+@pytest.mark.parametrize("family", _MATERN)
+def test_matern_mirror_shortcut_is_the_general_path_bit_for_bit(family):
+    # for x2 = -x1 the Matern form takes one moment set for its two equal
+    # outer segments and F once per border length; its general path, which
+    # _Unmirrored points take and which is the reference here, gives the
+    # same bits over theta from 1e-12 to 1e12 and |x1| from 5e-324 to 1
+    form = _N2_FORMS[family]
+    rng = np.random.default_rng(41)
+    thetas = 10.0 ** rng.uniform(-12.0, 12.0, 10_000)
+    tiny = rng.choice((-1.0, 1.0), 10_000) * 10.0 ** rng.uniform(-323.0, 0.0, 10_000)
+    points = np.where(rng.random(10_000) < 0.1, tiny, rng.uniform(-1.0, 1.0, 10_000))
+    for theta, x1 in zip(thetas.tolist(), points.tolist()):
+        if x1 == 0.0:
+            continue
+        got = form(theta, x1, -x1, False)
+        general = form(theta, _Unmirrored(x1), _Unmirrored(-x1), False)
+        assert got.hex() == general.hex(), (theta, x1)
 
 
 @pytest.mark.parametrize("family", [Family.MATERN32, Family.MATERN52])

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import imspe_kit.optimize as search_module
 from imspe_kit import (
     Family,
     ImspeKitError,
@@ -33,6 +34,8 @@ from imspe_kit.optimize import (
     MULTISTART_PAIRS,
     OptimumReport,
     _bounded_brent,
+    _fd_diagnostics,
+    _mirror_diagnostics,
     _nelder_mead,
     _pair_objective,
 )
@@ -300,6 +303,50 @@ def test_n2_search_without_curvature_is_not_converged(family, theta, constraint)
     assert not rep.converged
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_mirror_certificate_matches_the_full_hessian(family):
+    # at a symmetric optimum the five-evaluation certificate reports the
+    # gradient norm and Hessian eigenvalues of the 2-d central differences,
+    # with the same noise level.  The two stencils differ by their O(hh^2)
+    # truncation (2.5e-5 relative for exp at theta = 100) and by round-off
+    # (up to 9e-4 relative for Gaussian at theta = 0.01, where the noise
+    # level is 1e-3 of the eigenvalue)
+    for theta in (0.01, 1.0, 100.0):
+        objective = _pair_objective(family, theta)
+        a, f00 = _bounded_brent(lambda a: objective(a, -a), 1e-6, 1.0, 1e-8)
+        grad, eigs, noise = _mirror_diagnostics(objective, a, f00)
+        grad_2d, eigs_2d, noise_2d = _fd_diagnostics(objective, a, -a, f00)
+        assert noise == noise_2d and grad <= 1e-5 and grad_2d <= 1e-5, theta
+        for got, want in zip(eigs, eigs_2d):
+            assert noise < got and abs(got - want) <= 2e-3 * want + 100.0 * noise, (theta, eigs, eigs_2d)
+
+
+#: objective calls of one symmetric search at theta = 0.01, 1 and 100: the
+#: bounded search's, and 5 for the mirror certificate, which takes the value
+#: at the optimum from the search
+_SYMMETRIC_CALLS = {
+    Family.EXP_P1: (24, 14, 20),
+    Family.MATERN32: (18, 14, 24),
+    Family.MATERN52: (21, 15, 24),
+    Family.GAUSS_P2: (29, 16, 20),
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_symmetric_search_evaluates_each_design_once(family, monkeypatch):
+    calls, real = [], search_module._n2_residual
+    monkeypatch.setattr(
+        search_module, "_n2_residual", lambda *args: calls.append(args[2:]) or real(*args)
+    )
+    for theta, pinned in zip((0.01, 1.0, 100.0), _SYMMETRIC_CALLS[family]):
+        calls.clear()
+        rep = optimize_n2(Kernel(family, (theta,)), theta, constraint="symmetric_pair")
+        (a,), _ = rep.design
+        brent = _traced_brent(lambda a: real(family, theta, a, -a), 1e-6, 1.0, 1e-8)[2]
+        assert len(calls) == pinned == brent + 5, theta
+        assert len(set(calls)) == len(calls) and (a, -a) in calls, theta
+
+
 def _scipy_nelder_mead(objective, start):
     """(x, fun, nfev) of scipy's Nelder-Mead with the search's options."""
     from scipy.optimize import minimize
@@ -358,9 +405,11 @@ def _scipy_bounded(f, lo, hi, xatol):
 
 
 def _traced_brent(f, lo, hi, xatol):
-    """(x, points evaluated, their count) of ``_bounded_brent``."""
+    """(x, points evaluated, their count) of ``_bounded_brent``, which also
+    returns the value it took at x, bit for bit."""
     points = []
-    x = _bounded_brent(lambda a: points.append(a) or f(a), lo, hi, xatol)
+    x, fx = _bounded_brent(lambda a: points.append(a) or f(a), lo, hi, xatol)
+    assert fx == f(x) or (math.isnan(fx) and math.isnan(f(x)))
     return x, points, len(points)
 
 

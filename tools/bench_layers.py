@@ -26,7 +26,8 @@ Layer numbers (one process per checkout and round):
   Matern ``integrals.border_1d`` and ``inner_1d`` call at theta in
   {1e-4, 1, 100};
 * one free ``optimize_n2`` search per family at theta = 1, and one
-  ``symmetric_pair`` search per family at theta in {0.01, 1, 100};
+  ``symmetric_pair`` search per family at theta in {0.01, 1, 100}: its
+  latency and its objective (``_n2_residual``) calls;
 * in-process wall time of the golden ``sweep --n 2`` commands;
 * microseconds per quadrature-oracle ``border_1d_quad`` (anchor 0.3) and
   ``inner_1d_quad`` (anchors 0.3, -0.4) per family at theta in
@@ -96,6 +97,7 @@ METHOD = {
     "free_search": "optimize_n2(Kernel(family, (1,)), 1), smallest of 3",
     "symmetric_search": "optimize_n2(Kernel(family, (theta,)), theta, "
     "constraint='symmetric_pair'), smallest of 20",
+    "symmetric_search_calls": "calls of optimize._n2_residual during one such search",
     "symmetric_search_rss": "a fresh process imports imspe_kit.cli, runs optimize_n2("
     "Kernel(gauss-p2, (1,)), 1, constraint='symmetric_pair') and reports ru_maxrss / 1024 "
     "and 'scipy.optimize' in sys.modules (1 or 0)",
@@ -143,7 +145,7 @@ def measure_layers() -> dict:
     import numpy as np
 
     from imspe_kit import Family, ImspeKitError, Kernel, build_matrices, cli, integrals, oracle
-    from imspe_kit import optimize_n2
+    from imspe_kit import optimize, optimize_n2
     from imspe_kit.imspe import _n2_closed, _n2_residual
 
     rng = np.random.default_rng(5)
@@ -203,6 +205,13 @@ def measure_layers() -> dict:
             kernel = Kernel(fam, (theta,))
             t = _best(lambda: optimize_n2(kernel, theta, constraint="symmetric_pair"), 20)
             out[f"symmetric_search.{fam.value}.theta={theta:g}"] = ("us", 1e6 * t)
+            real, calls = optimize._n2_residual, []
+            optimize._n2_residual = lambda *args: calls.append(1) or real(*args)
+            try:
+                optimize_n2(kernel, theta, constraint="symmetric_pair")
+            finally:
+                optimize._n2_residual = real
+            out[f"symmetric_search_calls.{fam.value}.theta={theta:g}"] = ("calls", len(calls))
         argv = ["sweep", "--kernel", fam.value, *SWEEP_N2]
         with contextlib.redirect_stdout(io.StringIO()):
             t = _best(lambda: cli.main(argv), 3)

@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import integrals, oracle
 from .cluster import expansion_gauss, st_term
 from .errors import (
@@ -64,6 +62,8 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def _parse_points(text: str, d: int) -> np.ndarray:
+    import numpy as np
+
     pts = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -85,6 +85,8 @@ def _parse_points(text: str, d: int) -> np.ndarray:
 
 def _parse_theta_grid(text: str) -> np.ndarray:
     """Grid spec lo:hi:N or lo:hi:Nlog (inclusive endpoints)."""
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"bad grid spec: {text!r} (want lo:hi:N or lo:hi:Nlog)")
@@ -217,6 +219,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    import numpy as np
+
     if args.mode in ("n1", "n2"):
         kernel = _kernel_from_args(args)
         if kernel.d != 1:
@@ -313,6 +317,8 @@ def run_validation(samples: int, *, abs_tol: float = 1e-9) -> tuple[list[tuple],
     """
     if samples < 1:
         raise ValidationError(f"samples = {samples} must be at least 1")
+    import numpy as np
+
     rng = np.random.default_rng(20240817)
     rows = []
     ok = True

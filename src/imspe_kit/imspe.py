@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import integrals
 from .errors import NearSingularError, SolveError, ValidationError
 from .kernels import Family, Kernel, check_point, corr_pair
@@ -48,6 +46,8 @@ class ImspeMatrices:
 
 
 def _as_design(design, d: int, lo=-1.0, hi=1.0) -> tuple[tuple[float, ...], ...]:
+    import numpy as np
+
     pts = [check_point(p, d, lo, hi) for p in np.atleast_2d(np.asarray(design, dtype=float))]
     if not pts:
         raise ValidationError("design must contain at least one point")
@@ -92,6 +92,8 @@ def _solve_bordered(kernel: Kernel, pts, border, inner) -> ImspeMatrices:
 
     Refuses (``SolveError``) when L is too ill-conditioned to trust.
     """
+    import numpy as np
+
     n = len(pts)
     big_l = _fill_bordered(
         np.zeros((n + 1, n + 1)),

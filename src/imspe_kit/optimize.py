@@ -21,7 +21,9 @@ eigenvectors are (1, 1) and (1, -1): the mirror certificate
 ``_mirror_diagnostics`` reads the gradient and both eigenvalues from 5
 evaluations instead of the 12 of the two-dimensional differences.  Each
 search hands its optimum's value on, so no design is evaluated twice.
-``mpmath`` is imported only by the scenario's 40-digit solve.
+``numpy`` is imported only by the functions that build arrays (the scenario's
+designs, grids, scans and probes) and ``mpmath`` only by the scenario's
+40-digit solve, so the searches run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import integrals
 from .errors import ImspeKitError, NearSingularError, SolveError, ValidationError
@@ -57,6 +57,8 @@ def fig_kernel() -> Kernel:
 
 def fig_design(t: Sequence[float]) -> np.ndarray:
     """Four-point design with two fixed points and an inversion pair (t, -t)."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     return np.array([FIG_FIXED[0], FIG_FIXED[1], tuple(t), tuple(-t)])
 
@@ -107,6 +109,8 @@ _FIG_HP_SEPARATION = 1e-2
 
 def fig_imspe(t1: float, t2: float) -> float:
     """Criterion of the constrained scenario as a function of the free pair."""
+    import numpy as np
+
     design = fig_design((t1, t2))
     min_sep = min(
         float(np.linalg.norm(design[i] - design[j]))
@@ -423,7 +427,8 @@ def optimize_n2(
     if not f00 < math.inf:
         return _failed_report(2)
     x1, x2 = best_pt
-    value = imspe_n2(kernel, theta, x1, x2)
+    # the Matern forms have C(theta) = 0, so the residual is the criterion itself
+    value = f00 if kernel.family in integrals._MATERN else imspe_n2(kernel, theta, x1, x2)
     if constraint is None:
         grad_norm, eigs, noise = _fd_diagnostics(objective, x1, x2, f00)
     else:
@@ -440,6 +445,8 @@ def optimize_n2(
 
 def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     """Inclusive log-uniform grid."""
+    import numpy as np
+
     if not 0.0 < lo < hi < math.inf or num < 2:
         raise ValidationError("log grid needs 0 < lo < hi < inf and at least 2 points")
     return np.logspace(math.log10(lo), math.log10(hi), num)
@@ -516,6 +523,8 @@ def scan_surface(
     (coincident points, singular solves) carry ``None`` in the value slot
     instead of a fabricated number.
     """
+    import numpy as np
+
     for ax in axes:
         if len(ax) < 2:
             raise ValidationError("each scan axis needs at least 2 points")
@@ -557,6 +566,8 @@ def discontinuity_probe(
     per-direction residuals) certify an essential discontinuity; a smooth
     point shows a gap of the same order as the residuals.
     """
+    import numpy as np
+
     center = tuple(float(c) for c in center)
     dirs = []
     for d in directions:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import QuadratureError, SolveError
 from .imspe import _fill_bordered
 from .kernels import Family, Kernel, corr1
@@ -35,7 +33,7 @@ _MAX_OPEN = 8192
 #: traced memory grows with the batch (11.0 MB at 32, 16.0 at 128, 36.5 unbounded)
 _BATCH = 32
 #: per row of ``known``: the rows of (known, mid, fmid, halves) holding it for each child
-_CHILD_ROWS = np.array([0, 1, 7, 8, 1, 2, 3, 4, 9, 10, 4, 5, 11, 12])
+_CHILD_ROWS = (0, 1, 7, 8, 1, 2, 3, 4, 9, 10, 4, 5, 11, 12)
 
 
 def _quad_batch(f: Callable, intervals: Sequence[tuple], abs_tol: float) -> list[float]:
@@ -54,6 +52,9 @@ def _quad_batch(f: Callable, intervals: Sequence[tuple], abs_tol: float) -> list
     delta / 15 (Lyness 1969).  The accepted values are added up in the order of a
     depth-first recursion: each parent as left plus right child, panels left to right.
     """
+    import numpy as np
+
+    child_rows = np.array(_CHILD_ROWS)
     breaks = [sorted({a, b, *(p for p in splits if a < p < b)}) for a, b, splits in intervals]
     # a == b leaves no panel
     tol = np.array([abs_tol / max(len(pts) - 1, 1) for pts in breaks])
@@ -88,7 +89,7 @@ def _quad_batch(f: Callable, intervals: Sequence[tuple], abs_tol: float) -> list
                 )
         # children of the open intervals: all left ones, then all right ones
         known = np.concatenate((known, mid, fmid, halves)).compress(split, axis=1)
-        known = known[_CHILD_ROWS].reshape(7, -1)
+        known = known[child_rows].reshape(7, -1)
         owner = owner[split]
         owner = np.concatenate((owner, owner))
         tol *= 0.5
@@ -121,6 +122,8 @@ def _anchored_quad(family: Family, lo: float, anchors: tuple, theta, abs_tol: fl
     anchor - x)``, split at the anchors.  Float arguments give a float; equal-length
     arrays of anchors and theta give an array, one integral per entry, computed
     ``_BATCH`` integrals per driver pass."""
+    import numpy as np
+
     columns = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (*anchors, theta)]
     out = np.empty(len(columns[-1]))
     for start in range(0, len(out), _BATCH):
@@ -165,6 +168,8 @@ def _axis_products(quad, kernel: Kernel, entries, abs_tol: float) -> list[float]
     """For each tuple of points in ``entries``, the product over the axes, in axis
     order, of ``quad(family, *coordinates, theta)``, from one array call for all of
     them; a batch gives each integral its lone value, so every product is too."""
+    import numpy as np
+
     d = kernel.d
     columns = [np.array([p[k] for p in points for k in range(d)], dtype=float) for points in zip(*entries)]
     thetas = np.tile(np.asarray(kernel.theta, dtype=float), len(entries))
@@ -186,6 +191,8 @@ def r_inner_quad(
 
 def _corr_matrix(kernel: Kernel, design: np.ndarray) -> np.ndarray:
     """Bordered correlation matrix L from raw ``corr1`` products."""
+    import numpy as np
+
     n = design.shape[0]
 
     def body(i, j):
@@ -206,6 +213,8 @@ def imspe_quad(kernel: Kernel, design, *, abs_tol: float = 1e-12) -> float:
     comes from adaptive quadrature instead of the closed forms: the border
     entries from one batched quadrature call, the body entries from another.
     """
+    import numpy as np
+
     design = np.asarray(design, dtype=float)
     n = design.shape[0]
     big_l = _corr_matrix(kernel, design)
@@ -224,6 +233,8 @@ def mspe_grid_quad(kernel: Kernel, design, n_grid: int = 401) -> float:
     dense trapezoid grid; multi-dimensional a tensor product).  Accuracy is
     limited by the grid, so use only with loose tolerances.
     """
+    import numpy as np
+
     design = np.asarray(design, dtype=float)
     n, d = design.shape
     axis = np.linspace(-1.0, 1.0, n_grid)
@@ -245,6 +256,8 @@ def mspe_grid_quad(kernel: Kernel, design, n_grid: int = 401) -> float:
 
 def trace_of_product_sym(a: np.ndarray, b: np.ndarray) -> float:
     """tr(A B) for symmetric A, B as the sum of elementwise products."""
+    import numpy as np
+
     return float(np.sum(a * b))
 
 
@@ -254,6 +267,8 @@ def inverse_sym_3x3(m: np.ndarray) -> np.ndarray:
     Used as a cross-check against the general solve path on two-point
     designs; not a production path.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     a, b, c = m[0, 0], m[0, 1], m[0, 2]
     d, e = m[1, 1], m[1, 2]

@@ -452,3 +452,25 @@ def test_no_path_loads_scipy_special():
         "    assert imspe_kit.cli.main(['validate', '--samples', '3']) == 0"
     )
     assert _loaded_by_cli_import("scipy.special", paths) == "False"
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported by the functions that build arrays, not at start-up
+    assert _loaded_by_cli_import("numpy") == "False"
+
+
+def test_design_commands_do_not_load_numpy():
+    # the one- and two-point optima and the expansion are elementary closed
+    # forms and float searches; only eval, scan, probe, validate and sweep
+    # build arrays
+    commands = (
+        "import contextlib, io\n"
+        "argvs = [['expand', '--theta', '2', '--xt', '0.3']]\n"
+        "for kernel in ('exp-p1', 'matern-3-2', 'matern-5-2', 'gauss-p2'):\n"
+        "    for extra in (['--n', '1'], ['--n', '2'], ['--n', '2', '--symmetric']):\n"
+        "        argvs.append(['optimize', '--kernel', kernel, '--theta', '1', *extra])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in argvs:\n"
+        "        assert imspe_kit.cli.main(argv) == 0, argv"
+    )
+    assert _loaded_by_cli_import("numpy", commands) == "False"

@@ -347,6 +347,22 @@ def test_symmetric_search_evaluates_each_design_once(family, monkeypatch):
         assert len(set(calls)) == len(calls) and (a, -a) in calls, theta
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_matern_search_reports_its_own_value(family, monkeypatch):
+    # C(theta) = 0 for the Matern families, so the residual the search found at
+    # its optimum is the criterion; the other families evaluate it once more
+    calls, real = [], search_module.imspe_n2
+    monkeypatch.setattr(search_module, "imspe_n2", lambda *args: calls.append(args) or real(*args))
+    searches = [(theta, "symmetric_pair") for theta in (0.01, 1.0, 100.0)] + [(1.0, None)]
+    for theta, constraint in searches:
+        calls.clear()
+        kernel = Kernel(family, (theta,))
+        rep = optimize_n2(kernel, theta, constraint=constraint)
+        (x1,), (x2,) = rep.design
+        assert len(calls) == (0 if "matern" in family.value else 1), (theta, constraint)
+        assert rep.imspe_value == real(kernel, theta, x1, x2), (theta, constraint)
+
+
 def _scipy_nelder_mead(objective, start):
     """(x, fun, nfev) of scipy's Nelder-Mead with the search's options."""
     from scipy.optimize import minimize

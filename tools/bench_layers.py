@@ -43,9 +43,10 @@ Layer numbers (one process per checkout and round):
 * wall time of a fresh ``python -m imspe_kit.cli optimize --kernel gauss-p2
   --theta 1 --n 2 --symmetric`` process;
 * start-up, in a fresh process: wall time and ``ru_maxrss`` of
-  ``import imspe_kit.cli``, and whether ``scipy.special`` is loaded after
-  the import, after one ``symmetric_pair`` search per family and after a
-  Gaussian ``build_matrices``;
+  ``import imspe_kit.cli``, ``ru_maxrss`` after one ``symmetric_pair``
+  search per family, whether ``numpy`` is loaded after the import and after
+  the searches, and whether ``scipy.special`` is loaded after the import,
+  after the searches and after a Gaussian ``build_matrices``;
 * ``ru_maxrss`` of a fresh process that imports ``imspe_kit.cli`` and runs
   ``validate --samples 17``, or ``scan --mode fig``, and whether that loaded
   ``scipy.special``.
@@ -104,10 +105,11 @@ METHOD = {
     "symmetric_cli_wall": "wall time of a fresh 'python -m imspe_kit.cli "
     + " ".join(SYMMETRIC_CLI) + "' process, timed by the parent process",
     "startup": "a fresh process times 'import imspe_kit.cli' (perf_counter) and reads "
-    "ru_maxrss / 1024 after it, then reports 'scipy.special' in sys.modules (1 or 0) after "
-    "the import, after optimize_n2(Kernel(family, (1,)), 1, constraint='symmetric_pair') for "
-    "each family, and after build_matrices(Kernel(gauss-p2, (1, 2)), 5 uniform points, numpy "
-    "seed 0)",
+    "ru_maxrss / 1024 after it, then runs optimize_n2(Kernel(family, (1,)), 1, "
+    "constraint='symmetric_pair') for each family and reads ru_maxrss / 1024 again; reports "
+    "'numpy' in sys.modules (1 or 0) after the import and after the searches, and "
+    "'scipy.special' in sys.modules after the import, after the searches and after "
+    "build_matrices(Kernel(gauss-p2, (1, 2)), 5 uniform points, numpy seed 0)",
     "golden_sweep_n2": "in-process cli.main of the tools/golden_cli.py 'sweep --n 2' command, "
     "smallest of 3",
     "oracle": "border_1d_quad(family, 0.3, theta) and inner_1d_quad(family, 0.3, -0.4, theta), "
@@ -256,8 +258,9 @@ def measure_symmetric_rss() -> dict:
 
 
 def measure_startup() -> dict:
-    """Import time and peak RSS of ``import imspe_kit.cli`` in a fresh process, and
-    which of the later calls load ``scipy.special``."""
+    """Import time and peak RSS of ``import imspe_kit.cli`` in a fresh process, its
+    peak RSS after one symmetric search per family, and which of the later calls
+    load ``numpy`` and ``scipy.special``."""
     import resource
 
     start = time.perf_counter()
@@ -266,15 +269,18 @@ def measure_startup() -> dict:
     out = {
         "startup.import_s": ("s", time.perf_counter() - start),
         "startup.import_rss_mb": ("MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0),
+        "startup.numpy.after_import": ("bool", int("numpy" in sys.modules)),
         "startup.scipy_special.after_import": ("bool", int("scipy.special" in sys.modules)),
     }
-    import numpy as np
-
     from imspe_kit import Family, Kernel, build_matrices, optimize_n2
 
     for fam in map(Family, FAMILIES):
         optimize_n2(Kernel(fam, (1.0,)), 1.0, constraint="symmetric_pair")
+    out["startup.searches_rss_mb"] = ("MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    out["startup.numpy.after_searches"] = ("bool", int("numpy" in sys.modules))
     out["startup.scipy_special.after_searches"] = ("bool", int("scipy.special" in sys.modules))
+    import numpy as np
+
     build_matrices(Kernel(Family.GAUSS_P2, (1.0, 2.0)), np.random.default_rng(0).uniform(-1, 1, (5, 2)))
     out["startup.scipy_special.after_gauss_build"] = ("bool", int("scipy.special" in sys.modules))
     return {k: {"unit": u, "value": v} for k, (u, v) in out.items()}

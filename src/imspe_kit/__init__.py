@@ -7,16 +7,12 @@ expansions for proximal point pairs, and optimal-design search utilities.
 """
 
 from .cluster import (
-    ClusterCoords,
     ExpansionSeries,
     expansion_gauss,
     expansion_gauss_operator,
-    from_cluster,
-    imspe_gauss_cluster,
     imspe_operator_form,
     imspe_quadratic,
     st_term,
-    to_cluster,
 )
 from .errors import (
     ImspeKitError,
@@ -53,7 +49,6 @@ from .optimize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterCoords",
     "ExpansionSeries",
     "FAMILY_NAMES",
     "Family",
@@ -77,10 +72,8 @@ __all__ = [
     "fig_design",
     "fig_imspe",
     "fig_kernel",
-    "from_cluster",
     "imspe",
     "imspe_closed_n1",
-    "imspe_gauss_cluster",
     "imspe_n2",
     "imspe_operator_form",
     "imspe_quadratic",
@@ -90,5 +83,4 @@ __all__ = [
     "scan_surface",
     "st_term",
     "sweep_theta",
-    "to_cluster",
 ]

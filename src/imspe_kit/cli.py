@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or argument validation, 3 singular design,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .imspe import build_matrices
 from .kernels import FAMILY_NAMES, Family, Kernel
 from .optimize import (
     discontinuity_probe,
+    envelope_x1,
     fig_design,
     fig_imspe,
     fig_kernel,
@@ -174,7 +176,7 @@ def cmd_optimize(args) -> int:
         report = optimize_n1(kernel, theta)
     else:
         constraint = "symmetric_pair" if args.symmetric else None
-        report = optimize_n2(kernel, theta, constraint=constraint, tol_x=args.tol_x)
+        report = optimize_n2(kernel, theta, constraint=constraint)
     record = {"kernel": kernel.family.value, "theta": theta, "n": args.n}
     record.update(_report_to_dict(report))
     _emit(args, _json_dumps(record))
@@ -190,7 +192,6 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"decay rates must be positive: {args.theta_grid!r}")
     reports = sweep_theta(kernel, args.n, grid, parallel=args.parallel)
     lines = [SWEEP_HEADER, "theta,x1,x2,imspe,converged"]
-    xs = []
     for t, rep in zip(grid, reports):
         if args.n == 1:
             x1 = rep.design[0][0]
@@ -199,8 +200,6 @@ def cmd_sweep(args) -> int:
             a, b = rep.design[0][0], rep.design[1][0]
             x1, x2 = max(a, b), min(a, b)
         ok = rep.converged and math.isfinite(rep.imspe_value)
-        if ok:
-            xs.append(x1)
         lines.append(
             ",".join(
                 [
@@ -212,8 +211,8 @@ def cmd_sweep(args) -> int:
                 ]
             )
         )
-    if xs:
-        lines.append("envelope," + _fmt(min(xs)) + "," + _fmt(max(xs)) + ",,")
+    with contextlib.suppress(ValidationError):  # no converged optimum, no envelope
+        lines.append("envelope,{},{},,".format(*map(_fmt, envelope_x1(reports))))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -292,6 +291,9 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+#: largest closed-form vs quadrature distance a ``validate`` case passes with
+_VALIDATE_TOL = 1e-9
+
 #: label, family argument, lower end of the anchor domain (the upper end is
 #: 1), number of anchors, closed form in ``integrals``, quadrature in ``oracle``
 _VALIDATE_CASES = (
@@ -308,12 +310,13 @@ _VALIDATE_CASES = (
 )
 
 
-def run_validation(samples: int, *, abs_tol: float = 1e-9) -> tuple[list[tuple], bool]:
+def run_validation(samples: int) -> tuple[list[tuple], bool]:
     """Closed-form vs quadrature agreement over log-uniform random draws.
 
-    Returns per-case worst-error rows and an overall pass flag.  The random
-    stream is fixed-seed, so the run is reproducible.  ``samples`` must be
-    at least 1, so that a pass rests on comparisons.
+    Returns per-case worst-error rows, each judged against ``_VALIDATE_TOL``,
+    and an overall pass flag.  The random stream is fixed-seed, so the run is
+    reproducible.  ``samples`` must be at least 1, so that a pass rests on
+    comparisons.
     """
     if samples < 1:
         raise ValidationError(f"samples = {samples} must be at least 1")
@@ -333,9 +336,9 @@ def run_validation(samples: int, *, abs_tol: float = 1e-9) -> tuple[list[tuple],
         worst = 0.0
         for args, r in zip(draws, refs):
             worst = max(worst, abs(closed(*family, *args) - r))
-        passed = worst <= abs_tol
+        passed = worst <= _VALIDATE_TOL
         ok = ok and passed
-        rows.append((label, worst, abs_tol, passed))
+        rows.append((label, worst, _VALIDATE_TOL, passed))
     return rows, ok
 
 
@@ -380,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
     p.add_argument("--symmetric", action="store_true", help="restrict to x2 = -x1")
-    p.add_argument("--tol-x", type=float, default=1e-8, help="two-point search tolerance")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="optimal designs over a theta grid")

@@ -13,8 +13,9 @@ from the series coefficients of the generic border element, and (in the test
 suite) finite-difference extraction.  The always-negative c2 at x_t = 0 is
 what rules out coincident-pair optima for this family.
 
-The exact criterion at any delta is the two-point form of ``imspe``, written
-in these coordinates without cancellation; no switch to the model is needed.
+The exact criterion at any delta, and its limit c0 at delta = 0, is the
+two-point form of ``imspe`` at the pair x_t +- delta; no switch to the model
+is needed.
 
 The exponential family's pair correlation is not smooth at delta = 0, so no
 series is offered there; use the direct two-point closed form instead.
@@ -27,15 +28,7 @@ from dataclasses import dataclass
 
 from . import integrals
 from .errors import ValidationError
-from .imspe import _erf_spread, _n2_closed
-from .kernels import Family
-
-@dataclass(frozen=True)
-class ClusterCoords:
-    """Pair center and signed half-separation of a two-point design."""
-
-    x_t: float
-    delta: float
+from .imspe import _erf_spread
 
 
 @dataclass(frozen=True)
@@ -48,18 +41,6 @@ class ExpansionSeries:
     c0: float
     c2: float
     remainder_order: str = "theta^2 delta^4"
-
-
-def to_cluster(x1: float, x2: float) -> ClusterCoords:
-    """Map a point pair to (center, signed half-separation)."""
-    x1, x2 = integrals._check_coord(x1), integrals._check_coord(x2)
-    x_t = (x1 + x2) / 2.0
-    return ClusterCoords(x_t=x_t, delta=x1 - x_t)
-
-
-def from_cluster(c: ClusterCoords) -> tuple[float, float]:
-    """Inverse of :func:`to_cluster`; exact round trip in floating point."""
-    return integrals._check_coord(c.x_t + c.delta), integrals._check_coord(c.x_t - c.delta)
 
 
 def _check_args(theta: float, x_t: float) -> tuple[float, float]:
@@ -199,15 +180,3 @@ def imspe_operator_form(theta: float, x_t: float, delta: float) -> float:
         - rd_zero / (1.0 + math.exp(-2.0 * u2))
         - rd_spread / 2.0
     )
-
-
-def imspe_gauss_cluster(theta: float, x_t: float, delta: float) -> float:
-    """Gaussian two-point criterion in cluster coordinates, valid at any delta:
-    the pair x_t +- delta as ``imspe_n2`` gives it (within 2e-15 of a
-    high-precision reference for theta >= 0.01), and the limit c0 at delta = 0."""
-    theta, x_t = _check_args(theta, x_t)
-    delta = float(delta)
-    if delta == 0.0:
-        return expansion_gauss(x_t, theta).c0
-    x1, x2 = from_cluster(ClusterCoords(x_t=x_t, delta=delta))
-    return _n2_closed(Family.GAUSS_P2, theta, x1, x2)

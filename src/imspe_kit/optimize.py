@@ -44,6 +44,8 @@ _START_VALUES = (0.8, 0.5, 0.2, -0.2, -0.5, -0.8)
 MULTISTART_PAIRS = tuple(
     (a, b) for i, a in enumerate(_START_VALUES) for b in _START_VALUES[i + 1 :]
 )
+#: absolute tolerance in x of both two-point searches
+_TOL_X = 1e-8
 
 # -- the constrained two-dimensional demonstration scenario -----------------
 FIG_THETA = (0.064, 0.00016)
@@ -199,10 +201,10 @@ class _BudgetSpent(Exception):
     """The Nelder-Mead evaluation budget ran out inside an iteration."""
 
 
-def _nelder_mead(objective, x0, tol_x: float):
+def _nelder_mead(objective, x0):
     """Two-dimensional Nelder-Mead on floats: (best vertex, its value, evaluations).
 
-    Step for step scipy's ``minimize(method="Nelder-Mead")`` with ``xatol=tol_x``,
+    Step for step scipy's ``minimize(method="Nelder-Mead")`` with ``xatol=_TOL_X``,
     ``fatol=1e-14`` and ``maxiter = maxfev = 4000``: the same coefficients (1, 2,
     1/2, 1/2), initial simplex, order of arithmetic, stable sort by value (NaN
     last) and stop test (a NaN difference fails it).  An iteration cut short by
@@ -228,7 +230,7 @@ def _nelder_mead(objective, x0, tol_x: float):
         if nfev >= 4000:
             break
         dx = (p1 - p0, q1 - q0, p2 - p0, q2 - q0)
-        if all(abs(d) <= tol_x for d in dx) and all(abs(fs[0] - v) <= 1e-14 for v in fs[1:]):
+        if all(abs(d) <= _TOL_X for d in dx) and all(abs(fs[0] - v) <= 1e-14 for v in fs[1:]):
             break
         xb, yb = (p0 + p1) / 2, (q0 + q1) / 2
         try:
@@ -324,12 +326,12 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float) -> tuple[float, float]
     return xf, fx
 
 
-def _multistart(objective, starts, tol_x: float):
+def _multistart(objective, starts):
     """Best (x1, x2) of Nelder-Mead runs from each start, in order, and its
     value; (None, inf) if no run returned a value below infinity."""
     best_pt, best_val = None, math.inf
     for start in starts:
-        pt, val, _ = _nelder_mead(objective, start, tol_x)
+        pt, val, _ = _nelder_mead(objective, start)
         if val < best_val:
             best_pt, best_val = pt, val
     return best_pt, best_val
@@ -386,15 +388,13 @@ def optimize_n2(
     theta: float,
     *,
     constraint: str | None = None,
-    tol_x: float = 1e-8,
 ) -> OptimumReport:
     """Two-point optimal design on [-1, 1], one dimension.
 
     ``constraint='symmetric_pair'`` restricts to x2 = -x1 and searches the
     scalar half-separation by Brent's bounded method on [1e-6, 1]; the default
     searches both coordinates by Nelder-Mead from the deterministic multistart
-    lattice.  ``tol_x`` is the searches' absolute tolerance in x and must be
-    positive and finite.  Both minimise
+    lattice, both to the absolute tolerance ``_TOL_X`` in x.  Both minimise
     ``_n2_residual``; the report carries ``imspe_n2`` at the optimum and the
     gradient and Hessian eigenvalues of the residual there, and is
     ``converged`` only if the gradient is small and both eigenvalues are
@@ -414,14 +414,12 @@ def optimize_n2(
     every report there said ``converged=False``.
     """
     theta = _kernel_theta(kernel, theta, "two-point search")
-    if not 0.0 < tol_x < math.inf:
-        raise ValidationError(f"tol_x = {tol_x} must be positive and finite")
     objective = _pair_objective(kernel.family, theta)
     if constraint == "symmetric_pair":
-        a, f00 = _bounded_brent(lambda a: objective(a, -a), 1e-6, 1.0, tol_x)
+        a, f00 = _bounded_brent(lambda a: objective(a, -a), 1e-6, 1.0, _TOL_X)
         best_pt = (a, -a)
     elif constraint is None:
-        best_pt, f00 = _multistart(objective, MULTISTART_PAIRS, tol_x)
+        best_pt, f00 = _multistart(objective, MULTISTART_PAIRS)
     else:
         raise ValidationError(f"unknown constraint: {constraint!r}")
     if not f00 < math.inf:
@@ -491,11 +489,13 @@ def sweep_theta(
 
 
 def envelope_x1(reports: Sequence[OptimumReport]) -> tuple[float, float]:
-    """(min, max) of the larger coordinate of two-point optima over a sweep."""
+    """(min, max) over a sweep's converged optima with a finite value of each
+    design's largest coordinate: x1 of a two-point optimum, the point of a
+    one-point one."""
     values = [
-        max(r.design[0][0], r.design[1][0])
+        max(p[0] for p in r.design)
         for r in reports
-        if r.converged and not math.isnan(r.imspe_value)
+        if r.converged and math.isfinite(r.imspe_value)
     ]
     if not values:
         raise ValidationError("no converged optima in sweep")

@@ -6,10 +6,12 @@ batch of integrals one depth at a time, with one array call of the integrand
 per depth for the open intervals of all of them, and caps the number of open
 intervals per integral so that an integrand that never converges fails fast.
 The one-dimensional quadratures take arrays of anchors and theta, so
-``validate`` makes one call per case.  No closed form from the rest of the
-package is reused, so agreement between the two paths is meaningful evidence;
-only the bookkeeping that fills a bordered matrix is shared with the fast path.  An adjugate inverse of the
-3x3 bordered matrix gives a second route to the two-point solve.
+``validate`` makes one call per case, and each integral of a closed form's
+entry runs at the fixed absolute tolerance ``_ABS_TOL`` = 1e-12.  No closed
+form from the rest of the package is reused, so agreement between the two
+paths is meaningful evidence; only the bookkeeping that fills a bordered
+matrix is shared with the fast path.  An adjugate inverse of the 3x3
+bordered matrix gives a second route to the two-point solve.
 
 The oracle raises :class:`QuadratureError` instead of silently returning a
 low-quality estimate when the tolerance cannot be met.
@@ -25,6 +27,8 @@ from .imspe import _fill_bordered
 from .kernels import Family, Kernel, corr1
 
 _MAX_DEPTH = 60
+#: absolute tolerance of every quadrature of a closed form's integral
+_ABS_TOL = 1e-12
 #: open intervals one integral may hold at one depth (``validate --samples 500``
 #: needs 690 for its widest integral, the tests 1,864)
 _MAX_OPEN = 8192
@@ -117,9 +121,9 @@ def quad_adaptive(
 # oracle versions of the basic integrals and R-matrix elements
 # ---------------------------------------------------------------------------
 
-def _anchored_quad(family: Family, lo: float, anchors: tuple, theta, abs_tol: float):
+def _anchored_quad(family: Family, lo: float, anchors: tuple, theta):
     """Integral over [lo, 1] of the product over ``anchors`` of ``corr1(family, theta,
-    anchor - x)``, split at the anchors.  Float arguments give a float; equal-length
+    anchor - x)``, split at the anchors, to the absolute tolerance ``_ABS_TOL``.  Float arguments give a float; equal-length
     arrays of anchors and theta give an array, one integral per entry, computed
     ``_BATCH`` integrals per driver pass."""
     import numpy as np
@@ -136,35 +140,35 @@ def _anchored_quad(family: Family, lo: float, anchors: tuple, theta, abs_tol: fl
             return values
 
         splits = zip(*(e.tolist() for e in ends))
-        out[start : start + _BATCH] = _quad_batch(f, [(lo, 1.0, s) for s in splits], abs_tol)
+        out[start : start + _BATCH] = _quad_batch(f, [(lo, 1.0, s) for s in splits], _ABS_TOL)
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
-def border_1d_quad(family: Family, a, theta, *, abs_tol: float = 1e-12):
+def border_1d_quad(family: Family, a, theta):
     """Quadrature value of the single-anchor design-average integral; equal-length
     arrays of ``a`` and ``theta`` give an array of them."""
-    return 0.5 * _anchored_quad(family, -1.0, (a,), theta, abs_tol)
+    return 0.5 * _anchored_quad(family, -1.0, (a,), theta)
 
 
-def inner_1d_quad(family: Family, a, b, theta, *, abs_tol: float = 1e-12):
+def inner_1d_quad(family: Family, a, b, theta):
     """Quadrature value of the two-anchor design-average integral; equal-length
     arrays of ``a``, ``b`` and ``theta`` give an array of them."""
-    return 0.5 * _anchored_quad(family, -1.0, (a, b), theta, abs_tol)
+    return 0.5 * _anchored_quad(family, -1.0, (a, b), theta)
 
 
-def unit_border_1d_quad(a, theta, *, abs_tol: float = 1e-12):
+def unit_border_1d_quad(a, theta):
     """Quadrature value of the exponential single-anchor integral on [0, 1]; arrays
     as in ``border_1d_quad``."""
-    return _anchored_quad(Family.EXP_P1, 0.0, (a,), theta, abs_tol)
+    return _anchored_quad(Family.EXP_P1, 0.0, (a,), theta)
 
 
-def unit_inner_1d_quad(a, b, theta, *, abs_tol: float = 1e-12):
+def unit_inner_1d_quad(a, b, theta):
     """Quadrature value of the exponential two-anchor integral on [0, 1]; arrays as
     in ``inner_1d_quad``."""
-    return _anchored_quad(Family.EXP_P1, 0.0, (a, b), theta, abs_tol)
+    return _anchored_quad(Family.EXP_P1, 0.0, (a, b), theta)
 
 
-def _axis_products(quad, kernel: Kernel, entries, abs_tol: float) -> list[float]:
+def _axis_products(quad, kernel: Kernel, entries) -> list[float]:
     """For each tuple of points in ``entries``, the product over the axes, in axis
     order, of ``quad(family, *coordinates, theta)``, from one array call for all of
     them; a batch gives each integral its lone value, so every product is too."""
@@ -173,20 +177,18 @@ def _axis_products(quad, kernel: Kernel, entries, abs_tol: float) -> list[float]
     d = kernel.d
     columns = [np.array([p[k] for p in points for k in range(d)], dtype=float) for points in zip(*entries)]
     thetas = np.tile(np.asarray(kernel.theta, dtype=float), len(entries))
-    values = quad(kernel.family, *columns, thetas, abs_tol=abs_tol).reshape(len(entries), d)
+    values = quad(kernel.family, *columns, thetas).reshape(len(entries), d)
     return [math.prod(row, start=1.0) for row in values.tolist()]
 
 
-def r_border_quad(kernel: Kernel, xi: Sequence[float], *, abs_tol: float = 1e-12) -> float:
+def r_border_quad(kernel: Kernel, xi: Sequence[float]) -> float:
     """Border element of the averaged matrix, dimension by dimension."""
-    return _axis_products(border_1d_quad, kernel, [(xi,)], abs_tol)[0]
+    return _axis_products(border_1d_quad, kernel, [(xi,)])[0]
 
 
-def r_inner_quad(
-    kernel: Kernel, xi: Sequence[float], xj: Sequence[float], *, abs_tol: float = 1e-12
-) -> float:
+def r_inner_quad(kernel: Kernel, xi: Sequence[float], xj: Sequence[float]) -> float:
     """Body element of the averaged matrix, dimension by dimension."""
-    return _axis_products(inner_1d_quad, kernel, [(xi, xj)], abs_tol)[0]
+    return _axis_products(inner_1d_quad, kernel, [(xi, xj)])[0]
 
 
 def _corr_matrix(kernel: Kernel, design: np.ndarray) -> np.ndarray:
@@ -206,7 +208,7 @@ def _corr_matrix(kernel: Kernel, design: np.ndarray) -> np.ndarray:
     return _fill_bordered(np.zeros((n + 1, n + 1)), 0.0, lambda i: 1.0, body)
 
 
-def imspe_quad(kernel: Kernel, design, *, abs_tol: float = 1e-12) -> float:
+def imspe_quad(kernel: Kernel, design) -> float:
     """Integrated MSPE via the bordered-trace identity with quadrature elements.
 
     Same linear algebra as the fast path, but every averaged-matrix entry
@@ -219,9 +221,9 @@ def imspe_quad(kernel: Kernel, design, *, abs_tol: float = 1e-12) -> float:
     n = design.shape[0]
     big_l = _corr_matrix(kernel, design)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    border = _axis_products(border_1d_quad, kernel, [(p,) for p in design], abs_tol)
+    border = _axis_products(border_1d_quad, kernel, [(p,) for p in design])
     entries = [(design[i], design[j]) for i, j in pairs]
-    inner = dict(zip(pairs, _axis_products(inner_1d_quad, kernel, entries, abs_tol)))
+    inner = dict(zip(pairs, _axis_products(inner_1d_quad, kernel, entries)))
     big_r = _fill_bordered(np.zeros((n + 1, n + 1)), 1.0, border.__getitem__, lambda i, j: inner[i, j])
     return 1.0 - float(np.trace(np.linalg.solve(big_l, big_r)))
 

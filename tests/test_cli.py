@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import imspe_kit
-from imspe_kit import Family, Kernel, build_matrices, expansion_gauss, st_term
+from imspe_kit import (
+    Family,
+    Kernel,
+    build_matrices,
+    expansion_gauss,
+    fig_design,
+    fig_kernel,
+    st_term,
+)
 from imspe_kit.cli import (
     EXIT_OK,
     EXIT_SINGULAR,
@@ -167,7 +175,6 @@ def test_sweep_nonpositive_decay_rate_is_usage_error(capsys, grid):
         ("scan", "--mode", "fig", "--grid=-1:inf:3"),
         ("validate", "--samples", "0"),
         ("validate", "--samples", "-3"),
-        ("optimize", "--kernel", "exp-p1", "--theta", "1", "--n", "2", "--tol-x", "nan"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -266,6 +273,22 @@ def test_scan_n2_marks_diagonal_singular(capsys):
     rows = out.splitlines()[2:]
     diagonal = [r for r in rows if r.startswith("0,0,") or r.startswith("-0.4,-0.4")]
     assert any(r.endswith("singular") for r in diagonal)
+
+
+def test_scan_fig_slice_prints_the_solve_path(capsys):
+    # each node is the scenario design with the free pair (t, 0), (-t, 0).  The
+    # midpoint, -1.1e-16, puts the pair within 1e-9 of itself, where the solve
+    # path refuses it (``COND_LIMIT``); every other node prints that path's value
+    code, out, _ = run_cli(capsys, "scan", "--mode", "fig-slice", "--grid=-0.965:0.965:101")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:2] == [SCAN_HEADER, "x31,imspe"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 101
+    assert rows[50] == ["-1.1102230246251565e-16", "singular"]
+    for t, cell in rows[:50] + rows[51:]:
+        expected = build_matrices(fig_kernel(), fig_design((float(t), 0.0))).imspe
+        assert float(cell) == expected, t
 
 
 def test_sweep_format_and_envelope(capsys):

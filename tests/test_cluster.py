@@ -1,55 +1,24 @@
 """Proximal-pair expansion: coefficient routes, parity, and switchover."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from imspe_kit import (
-    ClusterCoords,
     Family,
     Kernel,
     ValidationError,
     expansion_gauss,
     expansion_gauss_operator,
-    from_cluster,
-    imspe_gauss_cluster,
     imspe_n2,
     imspe_operator_form,
     imspe_quadratic,
     st_term,
-    to_cluster,
 )
 from imspe_kit.cluster import border_element
+from imspe_kit.imspe import _n2_closed
 from test_imspe import _reference
 
 THETA_GRID = (0.5, 1.0, 5.0)
 XT_GRID = (0.0, 0.2, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# coordinates
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=80, deadline=None)
-@given(
-    x1=st.floats(min_value=-1.0, max_value=1.0),
-    x2=st.floats(min_value=-1.0, max_value=1.0),
-)
-def test_cluster_round_trip(x1, x2):
-    c = to_cluster(x1, x2)
-    y1, y2 = from_cluster(c)
-    assert y1 == pytest.approx(x1, abs=1e-15)
-    assert y2 == pytest.approx(x2, abs=1e-15)
-
-
-def test_cluster_coordinates_values():
-    c = to_cluster(0.7, 0.3)
-    assert c.x_t == pytest.approx(0.5)
-    assert c.delta == pytest.approx(0.2)
-
-
-def test_from_cluster_rejects_escape():
-    with pytest.raises(ValidationError):
-        from_cluster(ClusterCoords(x_t=0.9, delta=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +120,21 @@ def test_st_term_is_centered_c2():
 
 def test_switchover_continuity():
     # no switch to the quadratic model is left: on both sides of the former
-    # threshold sqrt(theta) |delta| = 1e-4, and far below it, the cluster
-    # evaluator matches a high-precision reference of the same pair
+    # threshold sqrt(theta) |delta| = 1e-4, and far below it, the two-point
+    # form of the pair x_t +- delta matches a high-precision reference of it
     theta = 1.0
     for delta in (1.01e-4, 0.99e-4, 1e-8, 1e-12):
-        x1, x2 = from_cluster(ClusterCoords(x_t=0.1, delta=delta))
+        x1, x2 = 0.1 + delta, 0.1 - delta
         _, value = _reference(Family.GAUSS_P2, theta, x1, x2)
-        assert abs(imspe_gauss_cluster(theta, 0.1, delta) - value) <= 1e-15, delta
+        assert abs(_n2_closed(Family.GAUSS_P2, theta, x1, x2) - value) <= 1e-15, delta
     # where x_t +- delta round to one point the value is the coincident limit
-    assert imspe_gauss_cluster(theta, 0.1, 1e-200) == pytest.approx(
+    assert _n2_closed(Family.GAUSS_P2, theta, 0.1, 0.1) == pytest.approx(
         expansion_gauss(0.1, theta).c0, rel=1e-15
     )
 
 
-def test_cluster_dispatch_large_delta_matches_direct():
-    theta = 2.0
-    kernel = Kernel(Family.GAUSS_P2, (theta,))
-    v = imspe_gauss_cluster(theta, 0.1, 0.2)
-    assert v == pytest.approx(imspe_n2(kernel, theta, 0.3, -0.1), rel=1e-13)
-
-
 def test_cluster_dispatch_zero_delta_uses_model():
-    v = imspe_gauss_cluster(1.0, 0.0, 0.0)
+    v = _n2_closed(Family.GAUSS_P2, 1.0, 0.0, 0.0)
     assert v == pytest.approx(expansion_gauss(0.0, 1.0).c0, rel=1e-15)
 
 

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imspe_kit import Family, Kernel, ValidationError
 from imspe_kit import integrals, oracle
@@ -117,9 +117,9 @@ def _mp_matern_rho(order, theta):
     return rho
 
 
-def _mp_matern_pair(order, a, b, theta, dps=30):
-    """(1/2) * integral of a Matern pair product to ``dps`` digits, split at the anchors."""
-    with mp.workdps(dps):
+def _mp_matern_pair(order, a, b, theta):
+    """(1/2) * integral of a Matern pair product to 30 digits, split at the anchors."""
+    with mp.workdps(30):
         rho = _mp_matern_rho(order, theta)
         knots = sorted({mp.mpf(-1), mp.mpf(a), mp.mpf(b), mp.mpf(1)})
         return mp.quad(lambda x: rho(x - a) * rho(x - b), knots) / 2
@@ -169,23 +169,30 @@ def _hand_border(order, a, theta):
     return (total - (up * up * ep + um * um * em)) / (6.0 * g)
 
 
-def _hand_pair(order, a, b, theta):
-    """The hand-algebra Matern pair integrals on the three segments, s = gamma (b - a)."""
+def _pair_at_own_inputs(order, a, b, theta):
+    """The exact Matern pair integral at the rounded g, s = g (b - a) and lam =
+    g (1 + a), g (1 - b) that ``integrals._pair`` computes for a <= b: the pair
+    polynomials Q(s) and o_j(s) in their rational coefficients, in 40-digit
+    arithmetic, with 40-digit moments m_j(lam)."""
     a, b = min(a, b), max(a, b)
     g = math.sqrt(order * theta)
-    s = g * (b - a)
-    m_lo, m_hi = integrals._exp_moments([g * (1.0 + a), g * (1.0 - b)], order - 1)
-    if order == 3:  # (1 + u) e^(-u)
-        total = s * (1.0 + s * (1.0 + s / 6.0))
-        for m0, m1, m2 in (m_lo, m_hi):
-            total += (1.0 + s) * m0 + (2.0 + s) * m1 + m2
-    else:  # (1 + u + u^2/3) e^(-u)
-        total = s * (1.0 + s * (1.0 + s * (7.0 / 18.0 + s * (1.0 / 18.0 + s / 270.0))))
-        q0, q1 = 1.0 + s * (1.0 + s / 3.0), 1.0 + s * (2.0 / 3.0)
-        c0, c1, c2, c3, c4 = q0, q0 + q1, q0 / 3.0 + q1 + 1.0 / 3.0, (q1 + 1.0) / 3.0, 1.0 / 9.0
-        for m0, m1, m2, m3, m4 in (m_lo, m_hi):
-            total += c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
-    return math.exp(-s) * total / (2.0 * g)
+    with mp.workdps(40):
+        s, one = mp.mpf(g * (b - a)), mp.mpf(1)
+        if order == 3:  # (1 + u) e^(-u)
+            total = s * (1 + s * (1 + s / 6))
+            coefs = (1 + s, 2 + s, one)
+        else:  # (1 + u + u^2/3) e^(-u)
+            total = s * (1 + s * (1 + s * (7 * one / 18 + s * (one / 18 + s / 270))))
+            q0, q1 = 1 + s * (1 + s / 3), 1 + s * 2 / 3
+            coefs = (q0, q0 + q1, q0 / 3 + q1 + one / 3, (q1 + 1) / 3, one / 9)
+        for lam in (g * (1.0 + a), g * (1.0 - b)):
+            total += sum(c * m for c, m in zip(coefs, _exp_moments_mp(lam, order - 1)))
+        return mp.exp(-s) * total / (2 * g)
+
+
+#: bound on the Matern pair's rounding at its own inputs, in units u = 2^-53 of
+#: its value, per order (see the weight-table test)
+_PAIR_ROUNDING = {3: 18, 5: 22}
 
 
 edge_coords = st.one_of(
@@ -202,18 +209,37 @@ edge_coords = st.one_of(
     b=edge_coords,
     theta=st.floats(min_value=-2.0, max_value=3.0).map(lambda e: 10.0 ** e),
 )
+@example(a=-0.2504086537702238, b=0.9999997290650375, theta=61.50537722421476)
 def test_matern_weight_table_no_worse_than_hand_algebra(a, b, theta):
     # against a 60-digit quadrature (mpmath's at 40 digits erred by 1.5e-8 on a
-    # middle segment at theta = 876), the integrals generated from the weight table
+    # middle segment at theta = 876), the borders generated from the weight table
     # are within 4 units of 2^-53 of the hand-written ones' error; on 300 draws the
-    # excess was at most 2.1 units for the borders and 3.1 for the pairs
+    # excess was at most 2.1 units.
+    #
+    # The pairs are held to their exact value at the rounded g, s and lam they
+    # compute: against the true integral, that rounding, amplified by e^(-s), is
+    # most of the error of any formula (at the example, s = 17, the 3/2 pair is
+    # 33 units off the true value and the hand algebra 29.2, but the pair is 0.55
+    # units off its own exact value).  Every term of e^(-s) [Q(s) + sum_j o_j(s)
+    # (m_j(lam_lo) + m_j(lam_hi))]/(2 g) is positive, so to first order the
+    # relative errors, in units u = 2^-53, add up along the longest chain:
+    # a coefficient's rounding 1 (the table's are within 0.8 u of 1/6, 7/18,
+    # 1/270, ...), 2 per Horner step of an outer o_j of degree d_o, 1 for o_j m_j,
+    # 6 for a moment (``test_exp_moments_match_high_precision_reference``), k for
+    # adding up the k + 1 terms of an outer sum, 2 for the sums of the bracket,
+    # 2 for exp (1 ulp), 1 each for the product with e^(-s) and the division by
+    # 2 g: 14 + 2 d_o + k, that is 18 for 3/2 (d_o = 1, k = 2) and 22 for 5/2
+    # (d_o = 2, k = 4).  The middle term's chain, 8 + 2 d_Q with d_Q = 2 and 4, is
+    # shorter.  On 100,001 random draws (the example, then a and b uniform or
+    # within 1e-12 ... 0.1 of an end, log10 theta uniform on [-2, 3]) the largest
+    # errors were 5.1 units (3/2) and 6.4 (5/2).
     for fn, inner, order in ((integrals.i5, integrals.i6, 3), (integrals.i7, integrals.i8, 5)):
         ref = _mp_matern_border(order, a, theta)
         slack = 4 * 2.0 ** -53 * ref
         assert abs(fn(a, theta) - ref) <= abs(_hand_border(order, a, theta) - ref) + slack
-        ref = _mp_matern_pair(order, a, b, theta, dps=60)
-        slack = 4 * 2.0 ** -53 * ref + 2.0 ** -1074
-        assert abs(inner(a, b, theta) - ref) <= abs(_hand_pair(order, a, b, theta) - ref) + slack
+        exact = _pair_at_own_inputs(order, a, b, theta)
+        bound = _PAIR_ROUNDING[order] * 2.0 ** -53 * exact + 2.0 ** -1074
+        assert abs(inner(a, b, theta) - exact) <= bound
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,7 +26,7 @@ from imspe_kit import (
     scan_surface,
     sweep_theta,
 )
-from imspe_kit.imspe import _n2_residual
+from imspe_kit.imspe import _n2_closed, _n2_residual
 from imspe_kit.integrals import _gauss_averages
 from imspe_kit.optimize import (
     FIG_FIXED,
@@ -134,9 +134,7 @@ def test_n2_beats_coincident_pair():
     # the optimal spread pair must beat the near-coincident configuration
     kernel = Kernel(Family.GAUSS_P2, (1.0,))
     rep = optimize_n2(kernel, 1.0)
-    from imspe_kit import imspe_gauss_cluster
-
-    assert rep.imspe_value < imspe_gauss_cluster(1.0, 0.0, 0.0)
+    assert rep.imspe_value < _n2_closed(Family.GAUSS_P2, 1.0, 0.0, 0.0)
 
 
 def _theta_constant(family, t):
@@ -382,7 +380,7 @@ def test_nelder_mead_takes_scipys_steps(family):
         objective = _pair_objective(family, theta)
         for start in MULTISTART_PAIRS:
             expected = _scipy_nelder_mead(objective, start)
-            assert _nelder_mead(objective, start, 1e-8) == expected, (theta, start)
+            assert _nelder_mead(objective, start) == expected, (theta, start)
 
 
 def _nan_ring(x1, x2):
@@ -399,7 +397,7 @@ def test_nelder_mead_stop_paths_match_scipy():
     objectives = (lambda x1, x2: math.inf, lambda x1, x2: -x1 - 2.0 * x2, _nan_ring)
     for k, objective in enumerate(objectives):
         for start in MULTISTART_PAIRS + ((0.0, 0.0), (0.0, 0.3)):
-            x, fun, nfev = _nelder_mead(objective, start, 1e-8)
+            x, fun, nfev = _nelder_mead(objective, start)
             expected = _scipy_nelder_mead(objective, start)
             assert x == expected[0] and nfev == expected[2], (k, start)
             assert fun == expected[1] or (math.isnan(fun) and math.isnan(expected[1])), (k, start)
@@ -465,12 +463,6 @@ def test_theta_must_match_kernel():
         ):
             with pytest.raises(ValidationError, match="kernel.theta"):
                 call()
-    # so must a tolerance that is not positive and finite
-    kernel = Kernel(Family.EXP_P1, (1.0,))
-    for tol_x in (-1.0, 0.0, math.nan, math.inf):
-        for constraint in (None, "symmetric_pair"):
-            with pytest.raises(ValidationError, match="tol_x"):
-                optimize_n2(kernel, 1.0, constraint=constraint, tol_x=tol_x)
     # a sweep takes each decay rate from its grid, whatever the kernel's own
     grid = [0.5, 4.0]
     for n, search in ((1, optimize_n1), (2, optimize_n2)):
@@ -511,9 +503,9 @@ def test_sweep_serial_and_parallel_agree():
 
 
 def test_envelope_x1():
-    def rep(x1, x2, ok=True):
+    def rep(*xs, ok=True):
         return OptimumReport(
-            design=((x1,), (x2,)),
+            design=tuple((x,) for x in xs),
             imspe_value=0.5,
             converged=ok,
             gradient_norm=0.0,
@@ -523,6 +515,8 @@ def test_envelope_x1():
 
     lo, hi = envelope_x1([rep(0.4, -0.4), rep(-0.55, 0.55), rep(0.9, -0.9, ok=False)])
     assert (lo, hi) == (0.4, 0.55)
+    # a one-point sweep's envelope is that of its single points
+    assert envelope_x1([rep(0.0), rep(0.25), rep(0.9, ok=False)]) == (0.0, 0.25)
 
 
 def test_envelope_requires_converged_reports():

@@ -1,7 +1,7 @@
 """Record the output of a fixed list of CLI commands, for a golden diff.
 
 Each command runs in process through ``imspe_kit.cli.main``; its exit code
-and standard output go to ``OUT/<n>.txt`` (n = 1 ... 55, in list order).
+and standard output go to ``OUT/<n>.txt`` (n = 1 ... 56, in list order).
 Record two checkouts and compare them:
 
     python tools/golden_cli.py /tmp/golden-new
@@ -25,7 +25,7 @@ POINTS_3D = "0.1,0.2,-0.3;0.5,-0.6,0.7;-0.8,0.9,0.05;0.3,0.3,0.3"
 
 
 def commands() -> list[list[str]]:
-    """The 55 commands: nine per family, the scenario, probe and validate,
+    """The 56 commands: nine per family, the scenario, probe and validate,
     two-point searches at decay rates where the criterion rounds to a constant,
     one-point optima at large decay rates, exp/gauss symmetric searches at
     theta = 0.01, where the theta-only part C(theta) of the two-point
@@ -33,7 +33,10 @@ def commands() -> list[list[str]]:
     a validate whose cases each fill more than one quadrature batch, and
     Matern symmetric searches at theta = 1e-4, where the criterion is near 1e-6
     (3/2) and 1e-8 (5/2), and Matern evaluations of a separated pair at decay
-    rates where the criterion is 3/2 and e^(-u) underflows in the pair integral."""
+    rates where the criterion is 3/2 and e^(-u) underflows in the pair integral,
+    and a scenario slice whose midpoint, -1.1e-16, the solve path refuses
+    (it prints ``singular``) and whose nodes at +-0.772 are one design with the
+    free pair listed in either order."""
     out = []
     for fam in FAMILIES:
         k = ["--kernel", fam]
@@ -77,6 +80,7 @@ def commands() -> list[list[str]]:
         out.append(["optimize", "--kernel", fam, "--theta", "0.0001", "--n", "2", "--symmetric"])
     for fam, theta in (("matern-5-2", "1e150"), ("matern-3-2", "1e307")):
         out.append(["eval", "--kernel", fam, "--theta", theta, "--points", "0.3;-0.2"])
+    out.append(["scan", "--mode", "fig-slice", "--grid=-0.965:0.965:101"])
     return out
 
 

@@ -343,9 +343,8 @@ def run_validation(samples: int) -> tuple[list[tuple], bool]:
 
 
 def cmd_validate(args) -> int:
-    samples = 60 if args.quick else args.samples
     try:
-        rows, ok = run_validation(samples)
+        rows, ok = run_validation(args.samples)
     except QuadratureError as exc:
         sys.stderr.write(f"quadrature failure during validation: {exc}\n")
         return EXIT_VALIDATION
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("validate", help="closed-form vs quadrature agreement suite")
-    p.add_argument("--quick", action="store_true")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--output")
     p.set_defaults(func=cmd_validate)

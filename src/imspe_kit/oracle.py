@@ -1,12 +1,12 @@
 """Independent quadrature oracle for cross-validating the closed forms.
 
-Adaptive Simpson quadrature on raw ``corr1`` products, forced to split at the
-anchor points where the exponential/Matern integrands kink.  One driver runs a
-batch of integrals one depth at a time, with one array call of the integrand
-per depth for the open intervals of all of them, and caps the number of open
-intervals per integral so that an integrand that never converges fails fast.
-The one-dimensional quadratures take arrays of anchors and theta, so
-``validate`` makes one call per case, and each integral of a closed form's
+Adaptive Lobatto-Kronrod quadrature on raw ``corr1`` products, forced to split
+at the anchor points where the exponential/Matern integrands kink and peak.
+One driver runs a batch of integrals one depth at a time, with one array call
+of the integrand per depth for the open panels of all of them, and caps the
+number of open panels per integral so that an integrand that never converges
+fails fast.  The one-dimensional quadratures take arrays of anchors and theta,
+so ``validate`` makes one call per case, and each integral of a closed form's
 entry runs at the fixed absolute tolerance ``_ABS_TOL`` = 1e-12.  No closed
 form from the rest of the package is reused, so agreement between the two
 paths is meaningful evidence; only the bookkeeping that fills a bordered
@@ -29,55 +29,66 @@ from .kernels import Family, Kernel, corr1
 _MAX_DEPTH = 60
 #: absolute tolerance of every quadrature of a closed form's integral
 _ABS_TOL = 1e-12
-#: open intervals one integral may hold at one depth (``validate --samples 500``
-#: needs 690 for its widest integral, the tests 1,864)
+#: open panels one integral may hold at one depth (``validate --samples 500`` needs 18)
 _MAX_OPEN = 8192
-#: integrals per driver pass.  ``validate --samples 500`` ran at 32, 64 and 128
-#: within the spread of repeated runs, and about 25 % slower at 16; its peak
-#: traced memory grows with the batch (11.0 MB at 32, 16.0 at 128, 36.5 unbounded)
+#: integrals per driver pass: ``validate --samples 500`` runs in 0.16, 0.11 and 0.08 s at
+#: 16, 32 and 128, with a traced peak of 0.21, 0.27 and 0.58 MB
 _BATCH = 32
-#: per row of ``known``: the rows of (known, mid, fmid, halves) holding it for each child
-_CHILD_ROWS = (0, 1, 7, 8, 1, 2, 3, 4, 9, 10, 4, 5, 11, 12)
+#: nodes in [0, 1] of the 13-point Lobatto-Kronrod rule on [-1, 1] (Gander & Gautschi 2000,
+#: BIT 40), end to centre: every other one is a node of the 7-point rule (1, sqrt(2/3),
+#: 1/sqrt(5), 0), and the three between solve the even-moment equations through degree 18
+_NODES = (
+    1.0, 0.9428824156954797, 0.816496580927726, 0.6418533423457813,
+    0.4472135954999579, 0.23638319966214988, 0.0,
+)
+#: weights of the 13-point rule at +-_NODES, exact through degree 19
+_K13 = (
+    0.015827191973480183, 0.09427384021885005, 0.1550719873365854, 0.18882157396018245,
+    0.19977340522685852, 0.22492646533333951, 0.24261107190140774,
+)
+#: weights of the 7-point rule at +-_NODES (0 at the three it lacks), exact through degree 9
+_K7 = (11 / 210, 0.0, 72 / 245, 0.0, 125 / 294, 0.0, 16 / 35)
 
 
 def _quad_batch(f: Callable, intervals: Sequence[tuple], abs_tol: float) -> list[float]:
-    """Adaptive Simpson integrals, one per ``(a, b, split_points)`` of ``intervals``.
+    """Adaptive Lobatto-Kronrod integrals, one per ``(a, b, split_points)`` of ``intervals``.
 
-    ``f(x, k)`` maps an array of nodes ``x``, one column per interval, and the
+    ``f(x, k)`` maps an array of nodes ``x``, one column of 13 per panel, and the
     index ``k`` of the integral each column belongs to onto the integrand values
-    at the nodes.  The intervals of all the integrals that are open at one depth
-    get their new nodes from one call of ``f``.  Each integral keeps its own
+    at the nodes.  The panels of all the integrals that are open at one depth
+    get their nodes from one call of ``f``.  Each integral keeps its own
     tolerance, acceptance and sum, so its value is the one it would get alone.
 
-    ``split_points`` are interior kinks of the integrand where panel boundaries are
-    forced, so Simpson's rule never straddles a derivative discontinuity at low depth.
-    An interval is accepted when its halves' Simpson sums differ from its own by at
-    most 15 times its tolerance (halved per depth), and then counts their sum plus
-    delta / 15 (Lyness 1969).  The accepted values are added up in the order of a
-    depth-first recursion: each parent as left plus right child, panels left to right.
+    ``split_points`` are interior kinks of the integrand where panel ends are
+    forced.  Both panel ends are nodes of the rule, so a peak at a kink is always
+    sampled.  A panel is accepted when its 13- and 7-point values differ by at
+    most its width's share of ``abs_tol``, and then counts its 13-point value;
+    the others are bisected.  Each integral is the correctly rounded sum of its
+    accepted panels (``math.fsum``), whatever their order.
     """
     import numpy as np
 
-    child_rows = np.array(_CHILD_ROWS)
+    nodes = np.array([-v for v in _NODES] + list(_NODES[-2::-1]))
     breaks = [sorted({a, b, *(p for p in splits if a < p < b)}) for a, b, splits in intervals]
     # a == b leaves no panel
-    tol = np.array([abs_tol / max(len(pts) - 1, 1) for pts in breaks])
+    share = np.array([abs_tol / (pts[-1] - pts[0]) if len(pts) > 1 else 0.0 for pts in breaks])
     owner = np.array([k for k, pts in enumerate(breaks) for _ in pts[1:]], dtype=np.intp)
     lo = np.array([p for pts in breaks for p in pts[:-1]], dtype=float)
     hi = np.array([p for pts in breaks for p in pts[1:]], dtype=float)
-    x = np.array([lo, 0.5 * (lo + hi), hi])
-    # one column per open interval: a, m, b, f(a), f(m), f(b) and its Simpson sum
-    known = np.concatenate((x, f(x, owner), np.empty_like(x[:1])))
-    known[6] = (x[2] - x[0]) / 6.0 * (known[3] + 4.0 * known[4] + known[5])
-    panel_owner, levels = owner.tolist(), []
+    parts = [[] for _ in breaks]
     for depth in range(_MAX_DEPTH + 1):
-        mid = 0.5 * (known[0:2] + known[1:3])
-        fmid = f(mid, owner)
-        halves = (known[1:3] - known[0:2]) / 6.0 * (known[3:5] + 4.0 * fmid + known[4:6])
-        both = halves[0] + halves[1]
-        delta = both - known[6]
-        split = ~(np.abs(delta) <= 15.0 * tol[owner])
-        levels.append((both + delta / 15.0, split))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid + half * nodes[:, None]
+        x[0], x[-1] = lo, hi
+        y = f(x, owner)
+        k13, k7 = _K13[6] * y[6], _K7[6] * y[6]
+        for w13, w7, row in zip(_K13, _K7, y[:6] + y[:6:-1]):
+            k13, k7 = k13 + w13 * row, k7 + w7 * row
+        # a residual below the panel value's rounding error shows nothing: such a tolerance fails
+        value, residual = half * k13, half * np.maximum(np.abs(k13 - k7), 2.0 ** -52 * np.abs(k13))
+        split = ~(residual <= share[owner] * (hi - lo))
+        for k, v in zip(owner[~split].tolist(), value[~split].tolist()):
+            parts[k].append(v)
         n_open = np.count_nonzero(split)
         if not n_open:
             break
@@ -88,31 +99,19 @@ def _quad_batch(f: Callable, intervals: Sequence[tuple], abs_tol: float) -> list
                 k = np.argmax(failed)
                 i = np.argmax(split & (owner == k))
                 raise QuadratureError(
-                    f"adaptive Simpson did not converge on [{known[0, i]}, {known[2, i]}] at "
-                    f"depth {depth}, {per_integral[k]} intervals open (residual {abs(delta[i]):.3e})"
+                    f"Lobatto-Kronrod quadrature did not converge on [{lo[i]}, {hi[i]}] at "
+                    f"depth {depth}, {per_integral[k]} intervals open (residual {residual[i]:.3e})"
                 )
-        # children of the open intervals: all left ones, then all right ones
-        known = np.concatenate((known, mid, fmid, halves)).compress(split, axis=1)
-        known = known[child_rows].reshape(7, -1)
-        owner = owner[split]
-        owner = np.concatenate((owner, owner))
-        tol *= 0.5
-    value = levels.pop()[0]
-    while levels:
-        parent, split = levels.pop()
-        parent[split] = value[: len(value) // 2] + value[len(value) // 2 :]
-        value = parent
-    totals = [0.0] * len(breaks)
-    for k, v in zip(panel_owner, value.tolist()):
-        totals[k] += v
-    return totals
+        lo, mid, hi, owner = lo[split], mid[split], hi[split], owner[split]
+        lo, hi, owner = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((owner, owner))
+    return [math.fsum(p) for p in parts]
 
 
 def quad_adaptive(
     f: Callable, a: float, b: float, *, abs_tol: float = 1e-12, split_points: Sequence[float] = ()
 ) -> float:
-    """Adaptive Simpson integral on [a, b] of ``f``, which maps a 1-d array of nodes
-    to values: the batch of one of ``_quad_batch``, which says how it is computed."""
+    """Adaptive Lobatto-Kronrod integral on [a, b] of ``f``, which maps a 1-d array of
+    nodes to values: the batch of one of ``_quad_batch``, which says how it is computed."""
     g = lambda x, k: f(x.ravel()).reshape(x.shape)
     return _quad_batch(g, [(a, b, split_points)], abs_tol)[0]
 

@@ -238,7 +238,7 @@ def _capture(argv) -> tuple[int, str]:
 
 
 def test_criterion_10_byte_identical_outputs():
-    validate = ["validate", "--quick"]
+    validate = ["validate", "--samples", "60"]
     code_a, out_a = _capture(validate)
     code_b, out_b = _capture(validate)
     assert code_a == code_b == 0

@@ -370,7 +370,7 @@ def test_probe_output(capsys):
 # ---------------------------------------------------------------------------
 
 def test_validate_quick_passes(capsys):
-    code, out, _ = run_cli(capsys, "validate", "--quick")
+    code, out, _ = run_cli(capsys, "validate", "--samples", "60")
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "case,worst_abs_error,tolerance,pass"
@@ -383,8 +383,8 @@ def test_validate_quick_passes(capsys):
 # ---------------------------------------------------------------------------
 
 def test_validate_is_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "validate", "--quick")
-    _, out2, _ = run_cli(capsys, "validate", "--quick")
+    _, out1, _ = run_cli(capsys, "validate", "--samples", "60")
+    _, out2, _ = run_cli(capsys, "validate", "--samples", "60")
     assert out1 == out2
 
 

@@ -13,13 +13,13 @@ from imspe_kit import Family, Kernel, QuadratureError, build_matrices
 from imspe_kit import oracle
 
 
-def test_adaptive_simpson_on_smooth_function():
+def test_adaptive_quadrature_on_smooth_function():
     v = oracle.quad_adaptive(np.sin, 0.0, math.pi, abs_tol=1e-13)
     assert v == pytest.approx(2.0, abs=1e-12)
 
 
-def test_adaptive_simpson_exact_on_cubics():
-    # Simpson's rule integrates cubics exactly; the adaptive driver must not
+def test_adaptive_quadrature_exact_on_cubics():
+    # both panel rules integrate cubics exactly; the adaptive driver must not
     # degrade that
     v = oracle.quad_adaptive(lambda x: x ** 3 - 2 * x + 1, -1.0, 2.0, abs_tol=1e-13)
     exact = (2.0 ** 4 / 4 - 2 * 2.0 ** 2 / 2 + 2.0) - (0.25 - 1.0 - 1.0)
@@ -27,14 +27,14 @@ def test_adaptive_simpson_exact_on_cubics():
     assert oracle.quad_adaptive(lambda x: x ** 3 - 2 * x + 1, 0.5, 0.5) == 0.0
 
 
-def test_adaptive_simpson_with_kink_and_split_points():
+def test_adaptive_quadrature_with_kink_and_split_points():
     f = lambda x: np.abs(x - 0.3)
     exact = 0.5 * (1.3 ** 2 + 0.7 ** 2)
     v = oracle.quad_adaptive(f, -1.0, 1.0, abs_tol=1e-12, split_points=(0.3,))
     assert v == pytest.approx(exact, abs=1e-11)
 
 
-def test_adaptive_simpson_stiff_peak():
+def test_adaptive_quadrature_stiff_peak():
     # sharply peaked integrand; exact value sqrt(pi/theta) * erf-mass inside
     theta = 1e4
     v = oracle.quad_adaptive(
@@ -70,38 +70,18 @@ def test_quadrature_error_when_open_intervals_exceed_the_cap():
     assert int(depth) < oracle._MAX_DEPTH and 2 * int(n_open) > oracle._MAX_OPEN
 
 
-def test_adaptive_simpson_matches_a_depth_first_recursion_bit_for_bit():
-    # the level-by-level quadrature makes the same splits as the textbook
-    # recursion and adds the accepted values in its order
-    def recursive(f, lo, hi, tol):
-        def simpson(a, b):
-            return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
-
-        def adapt(a, b, whole, tol):
-            m = 0.5 * (a + b)
-            left, right = simpson(a, m), simpson(m, b)
-            delta = left + right - whole
-            if abs(delta) <= 15.0 * tol:
-                return left + right + delta / 15.0
-            return adapt(a, m, left, 0.5 * tol) + adapt(m, b, right, 0.5 * tol)
-
-        return 0.0 + adapt(lo, hi, simpson(lo, hi), tol)
-
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        theta, a = 10.0 ** rng.uniform(-1, 3), rng.uniform(-1, 1)
-        # correctly rounded operations only, so floats and arrays give the same values
-        f = lambda x: (1.0 + x * x) / (1.0 + theta * abs(x - a))
-        expected = recursive(f, -1.0, a, 5e-13) + recursive(f, a, 1.0, 5e-13)
-        got = oracle.quad_adaptive(f, -1.0, 1.0, abs_tol=1e-12, split_points=(a,))
-        assert got == expected
-        # three panels, which are added left to right
-        a, b = sorted(rng.uniform(-1, 1, 2))
-        f = lambda x: (1.0 + x * x) / (1.0 + theta * (abs(x - a) + abs(x - b)))
-        tol = 1e-12 / 3
-        expected = recursive(f, -1.0, a, tol) + recursive(f, a, b, tol) + recursive(f, b, 1.0, tol)
-        got = oracle.quad_adaptive(f, -1.0, 1.0, abs_tol=1e-12, split_points=(b, a))
-        assert got == expected
+def test_panel_rules_integrate_monomials_exactly_to_their_degree():
+    # the 7-point rule through degree 9, the 13-point rule through degree 19,
+    # with the float constants taken exactly; the refined constants meet the
+    # even moments to 2e-17, the 15-digit published ones only to 7e-16
+    nodes = [*(-v for v in oracle._NODES), *oracle._NODES[-2::-1]]
+    with mp.workdps(50):
+        for weights, degree in ((oracle._K7, 9), (oracle._K13, 19)):
+            w = [*weights, *weights[-2::-1]]
+            for d in range(degree + 2):
+                rule = mp.fsum(mp.mpf(wi) * mp.mpf(x) ** d for wi, x in zip(w, nodes))
+                error = abs(rule - mp.mpf(1 + (-1) ** d) / (d + 1))
+                assert error <= 1e-16 if d <= degree else error > 1e-7, (degree, d, error)
 
 
 #: the oracle's one-dimensional quadratures: (function, family argument, anchor domain, anchors)
@@ -148,7 +128,7 @@ def test_a_batch_names_the_integral_that_cannot_converge():
         oracle.quad_adaptive(lambda x: (x == 0.0).astype(float), 0.0, 1.0, abs_tol=1e-12)
     assert str(info.value) == str(alone.value)
     assert re.match(
-        rf"adaptive Simpson did not converge on \[0.0, {2.0 ** -60}\] at depth {oracle._MAX_DEPTH}, "
+        rf"Lobatto-Kronrod quadrature did not converge on \[0.0, {2.0 ** -60}\] at depth {oracle._MAX_DEPTH}, "
         r"1 intervals open \(residual ",
         str(info.value),
     )
@@ -281,14 +261,15 @@ def test_oracle_within_its_absolute_contract_of_high_precision_integrals():
     # the oracle's contract is absolute, over the whole theta range the closed
     # forms claim: each quadrature at abs_tol = 1e-12 is compared with a
     # 30-digit integral split at the anchors.  Relative errors of tiny entries
-    # are larger.  The bound is 15 abs_tol, not abs_tol: Lyness's test accepts
-    # an interval whose two Simpson estimates differ by up to 15 times its
-    # tolerance, and on a steep pair integrand the coarse estimates can both be
-    # off by that much.  These draws include a unit-domain pair at theta = 1168
-    # off by 2.97e-12; 6 of 1,500 draws of another seed exceed 1e-12 (worst 2.8e-12).
+    # are larger.  The first case, a steep unit-domain pair at theta = 1168 that
+    # is also among the random draws, is one that adaptive Simpson missed by 2.97e-12
     rng = np.random.default_rng(2024)
     worst = 0.0
     with mp.workdps(30):
+        a, b, theta = 0.6140793014110142, 0.6337531224057359, 1167.621568653471
+        tm = mp.mpf(theta)
+        ref = mp.quad(lambda x: mp.exp(-tm * (abs(a - x) + abs(b - x))), [0, a, b, 1])
+        worst = max(worst, abs(oracle.unit_inner_1d_quad(a, b, theta) - ref))
         for family in Family:
             for _ in range(8):
                 theta = float(10.0 ** rng.uniform(-2.0, 4.0))
@@ -310,4 +291,15 @@ def test_oracle_within_its_absolute_contract_of_high_precision_integrals():
             worst = max(worst, abs(oracle.unit_border_1d_quad(a, theta) - ref))
             ref = mp.quad(lambda x: f1(x) * _mp_corr(Family.EXP_P1, tm, b - x), sorted([0, a, b, 1]))
             worst = max(worst, abs(oracle.unit_inner_1d_quad(a, b, theta) - ref))
-    assert worst <= 15 * 1e-12
+    assert worst <= 1e-12
+
+
+def test_oracle_samples_a_peak_at_the_panel_end():
+    # at theta = 1e4 the exponential border integrand is a spike of width 1e-4
+    # at the anchor, which is a panel end: a rule with nodes only inside its
+    # panels (Gauss-Kronrod 7/15) misses it whole, 1.0e-4 off
+    theta = 1e4
+    with mp.workdps(30):
+        tm = mp.mpf(theta)
+        ref = mp.quad(lambda x: mp.exp(-tm * abs(0.3 - x)), [-1, 0.3, 1]) / 2
+    assert abs(oracle.border_1d_quad(Family.EXP_P1, 0.3, theta) - ref) <= oracle._ABS_TOL

@@ -32,7 +32,8 @@ Layer numbers (one process per checkout and round):
 * microseconds per quadrature-oracle ``border_1d_quad`` (anchor 0.3) and
   ``inner_1d_quad`` (anchors 0.3, -0.4) per family at theta in
   {0.01, 1, 100}, and the in-process wall time of ``validate --samples N``
-  for N in {9, 13, 17, 40, 500};
+  for N in {9, 13, 17, 40, 500}, each with the number of integrand values
+  it takes from ``oracle.corr1`` (suffix ``.corr1_values``);
 * the tracemalloc peak of one in-process ``validate`` request at 13 and at
   500 samples;
 * microseconds per call of the float erf of the Gaussian averages:
@@ -114,7 +115,9 @@ METHOD = {
     "smallest of 3",
     "oracle": "border_1d_quad(family, 0.3, theta) and inner_1d_quad(family, 0.3, -0.4, theta), "
     "theta in {0.01, 1, 100}, smallest of 10; validate_N: in-process cli.main(['validate', "
-    "'--samples', 'N']), smallest of 5 (of 2 for N = 500)",
+    "'--samples', 'N']), smallest of 5 (of 2 for N = 500); suffix .corr1_values: the sum of "
+    "numpy.size of the coordinate argument over the oracle.corr1 calls of one such call, "
+    "one value per quadrature node and anchor (a node of a two-anchor integral takes two)",
     "validate_tracemalloc": "tracemalloc peak of one in-process validate request, tracing "
     "started after a warm-up request",
     "erf": "one call per value of 10,000 uniform draws on [-3, 3] (numpy seed 9) of "
@@ -140,6 +143,19 @@ def _best(fn, repeat):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _corr1_values(oracle, fn) -> int:
+    """Integrand values one call of ``fn`` takes from ``oracle.corr1``."""
+    import numpy as np
+
+    real, sizes = oracle.corr1, []
+    oracle.corr1 = lambda family, theta, dx, *rest: sizes.append(np.size(dx)) or real(family, theta, dx, *rest)
+    try:
+        fn()
+    finally:
+        oracle.corr1 = real
+    return sum(sizes)
 
 
 def measure_layers() -> dict:
@@ -219,14 +235,18 @@ def measure_layers() -> dict:
             t = _best(lambda: cli.main(argv), 3)
         out[f"golden_sweep_n2.{fam.value}"] = ("s", t)
         for theta in (0.01, 1.0, 100.0):
-            t = _best(lambda: oracle.border_1d_quad(fam, 0.3, theta), 10)
-            out[f"oracle.border_1d_quad.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t)
-            t = _best(lambda: oracle.inner_1d_quad(fam, 0.3, -0.4, theta), 10)
-            out[f"oracle.inner_1d_quad.{fam.value}.theta={theta:g}"] = ("us/call", 1e6 * t)
+            for name, fn in (
+                ("border_1d_quad", lambda: oracle.border_1d_quad(fam, 0.3, theta)),
+                ("inner_1d_quad", lambda: oracle.inner_1d_quad(fam, 0.3, -0.4, theta)),
+            ):
+                key = f"oracle.{name}.{fam.value}.theta={theta:g}"
+                out[key] = ("us/call", 1e6 * _best(fn, 10))
+                out[f"{key}.corr1_values"] = ("values", _corr1_values(oracle, fn))
     with contextlib.redirect_stdout(io.StringIO()):
         for n in VALIDATE_SAMPLES:
-            argv = ["validate", "--samples", str(n)]
-            out[f"oracle.validate_{n}"] = ("s", _best(lambda: cli.main(argv), 2 if n > 100 else 5))
+            fn = lambda: cli.main(["validate", "--samples", str(n)])
+            out[f"oracle.validate_{n}"] = ("s", _best(fn, 2 if n > 100 else 5))
+            out[f"oracle.validate_{n}.corr1_values"] = ("values", _corr1_values(oracle, fn))
         for n in (13, 500):
             tracemalloc.start()
             cli.main(["validate", "--samples", str(n)])
